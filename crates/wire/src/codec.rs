@@ -1,4 +1,4 @@
-//! The per-payload encoders and decoders of the binary wire format, plus the
+//! The payload declarations of the binary wire format, plus the
 //! format-selecting [`WireCodec`] front end.
 //!
 //! ## Message layout (binary format)
@@ -8,21 +8,41 @@
 //!
 //! | kind | payload | body |
 //! |---|---|---|
-//! | `0x01` | [`MigrationState`] | variant byte, then a collapsed or readings body |
+//! | `0x01` | [`MigrationState`] | variant byte, then a tabled collapsed or readings body |
 //! | `0x02` | reading batch | tag table + order-preserving reading sequence |
-//! | `0x03` | [`ObjectQueryState`] | query name, tag, automaton |
-//! | `0x04` | [`SharedStateBundle`] | centroid payload + per-object deltas |
-//! | `0x05` | [`CollapsedState`] | tag table + per-candidate weight bits |
+//! | `0x03` | [`ObjectQueryState`] | query name, raw tag, automaton |
+//! | `0x04` | [`SharedStateBundle`] | raw centroid tag + centroid payload + per-object deltas |
+//! | `0x05` | [`CollapsedState`] | tag table + object, container, per-candidate weight bits |
 //! | `0x06` | query-state payload | tag-less `(query, automaton)` for sharing |
-//! | `0x07` | [`crate::checkpoint::SiteCheckpoint`] | site-wide tag table + engine/processor snapshots + durability bookkeeping |
+//! | `0x07` | [`crate::checkpoint::SiteCheckpoint`] | site, epoch, then one site-wide tag table + engine/processor snapshots + durability bookkeeping |
 //! | `0x08` | [`crate::ControlMsg`] | transport control: ack / anti-entropy resync |
 //!
-//! Bodies are built from the primitives of [`crate::primitives`]: unsigned
-//! varints, zigzag varints for deltas, raw IEEE-754 bits for floats, and one
-//! sorted per-message [`TagTable`] wherever tags repeat. Epoch sequences are
-//! delta-encoded against the previous entry (zigzag, so unsorted sequences
-//! still round-trip); sorted sequences — the common case — cost one byte per
-//! epoch.
+//! ## Composition rules
+//!
+//! Each payload type is one `Wire` impl listing its fields in wire order;
+//! the bodies above are those fields composed by these rules, each written
+//! once in [`crate::primitives`]:
+//!
+//! * **Scalars.** Unsigned integers and standalone epochs are LEB128
+//!   varints; `f64`s are their 8 raw IEEE-754 bytes; strings and byte
+//!   vectors are length-prefixed.
+//! * **One tag table per message.** A tabled section opens with the sorted,
+//!   delta-encoded table of exactly the tags it mentions, collected by a
+//!   pass over the same impls that then write it; every tag inside is a
+//!   varint index. Messages without a table (`0x03`, `0x04`) write raw ids.
+//! * **Sequences** are count-prefixed.
+//! * **Options** are a flag byte `0`/`1` then the value — except optional
+//!   tags, which are `0` for `None` and `1 + index` otherwise.
+//! * **Maps** are count-prefixed `(key, value)` runs in ascending key order;
+//!   a repeated key is a decode error, so each map has one encoding.
+//! * **Epoch sequences** are zigzag deltas against the previous element's
+//!   key, starting from a stated base: `since` for an automaton's readings,
+//!   0 everywhere else (sorted runs cost one byte per key; unsorted ones still
+//!   round-trip). Byte-position edits of a state delta follow the same rule.
+//! * **Counter blocks** are one arity prefix, then the counters; readers
+//!   zero-fill counters they do not find, so counters can be appended. The
+//!   two comm arrays of a checkpoint share one prefix;
+//!   [`rfid_core::InferenceStats`] has none.
 //!
 //! In the JSON format every message is exactly the `serde_json` serialization
 //! of the payload, with no header: the debugging representation is plain,
@@ -32,13 +52,13 @@
 //! including `f64` bit patterns, so routing live state through the codec can
 //! never change an inference or query outcome.
 
-use crate::primitives::{Reader, TagTable, Writer};
+use crate::primitives::{delta_sequenced, wire_struct, Delta, Keyed, Reader, Wire, Writer};
 use crate::{WireError, WireFormat};
 use rfid_core::{CollapsedState, MigrationState, ReadingsState};
 use rfid_query::sharing::{json_payload, state_from_json_payload};
 use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta};
-use rfid_types::{Epoch, RawReading, ReaderId, TagId};
-use std::collections::BTreeMap;
+use rfid_types::{Epoch, RawReading, TagId};
+use serde::{Deserialize, Serialize};
 
 /// Version byte every binary message starts with.
 pub const WIRE_VERSION: u8 = 1;
@@ -107,173 +127,55 @@ impl WireCodec {
 
     /// Encode the inference state migrating with one object.
     pub fn encode_migration(&self, state: &MigrationState) -> Vec<u8> {
-        match self.format {
-            WireFormat::Json => serde_json::to_vec(state).expect("migration state serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_MIGRATION);
-                match state {
-                    MigrationState::None => w.put_u8(MIGRATION_NONE),
-                    MigrationState::Collapsed(collapsed) => {
-                        w.put_u8(MIGRATION_COLLAPSED);
-                        encode_collapsed_body(&mut w, collapsed);
-                    }
-                    MigrationState::Readings(readings) => {
-                        w.put_u8(MIGRATION_READINGS);
-                        encode_readings_state_body(&mut w, readings);
-                    }
-                }
-                w.into_bytes()
-            }
-        }
+        self.encode(KIND_MIGRATION, state, |w| state.put(w))
     }
 
     /// Decode a [`Self::encode_migration`] message.
     pub fn decode_migration(&self, bytes: &[u8]) -> Result<MigrationState, WireError> {
-        match self.format {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_MIGRATION)?;
-                let state = match r.get_u8()? {
-                    MIGRATION_NONE => MigrationState::None,
-                    MIGRATION_COLLAPSED => {
-                        MigrationState::Collapsed(decode_collapsed_body(&mut r)?)
-                    }
-                    MIGRATION_READINGS => {
-                        MigrationState::Readings(decode_readings_state_body(&mut r)?)
-                    }
-                    _ => return Err(WireError::new("unknown migration-state variant")),
-                };
-                r.expect_exhausted()?;
-                Ok(state)
-            }
-        }
+        self.decode(KIND_MIGRATION, bytes, Wire::get)
     }
 
     /// Encode one object's collapsed inference state.
     pub fn encode_collapsed(&self, state: &CollapsedState) -> Vec<u8> {
-        match self.format {
-            WireFormat::Json => serde_json::to_vec(state).expect("collapsed state serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_COLLAPSED);
-                encode_collapsed_body(&mut w, state);
-                w.into_bytes()
-            }
-        }
+        self.encode(KIND_COLLAPSED, state, |w| w.put_tabled(|w| state.put(w)))
     }
 
     /// Decode a [`Self::encode_collapsed`] message.
     pub fn decode_collapsed(&self, bytes: &[u8]) -> Result<CollapsedState, WireError> {
-        match self.format {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_COLLAPSED)?;
-                let state = decode_collapsed_body(&mut r)?;
-                r.expect_exhausted()?;
-                Ok(state)
-            }
-        }
+        self.decode(KIND_COLLAPSED, bytes, |r| r.get_tabled(Wire::get))
     }
 
     /// Encode a batch of raw readings (the centralized forwarding payload),
     /// preserving their order.
     pub fn encode_readings(&self, readings: &[RawReading]) -> Vec<u8> {
-        match self.format {
-            WireFormat::Json => serde_json::to_vec(readings).expect("readings serialize"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_READINGS);
-                let table = TagTable::from_tags(readings.iter().map(|r| r.tag));
-                table.encode(&mut w);
-                encode_reading_seq(&mut w, &table, readings);
-                w.into_bytes()
-            }
-        }
+        self.encode(KIND_READINGS, readings, |w| {
+            w.put_tabled(|w| RawReading::put_seq(readings, w))
+        })
     }
 
     /// Decode a [`Self::encode_readings`] message.
     pub fn decode_readings(&self, bytes: &[u8]) -> Result<Vec<RawReading>, WireError> {
-        match self.format {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_READINGS)?;
-                let table = TagTable::decode(&mut r)?;
-                let readings = decode_reading_seq(&mut r, &table)?;
-                r.expect_exhausted()?;
-                Ok(readings)
-            }
-        }
+        self.decode(KIND_READINGS, bytes, |r| r.get_tabled(Wire::get))
     }
 
     /// Encode one object's query state for one query.
     pub fn encode_query_state(&self, state: &ObjectQueryState) -> Vec<u8> {
-        match self.format {
-            WireFormat::Json => serde_json::to_vec(state).expect("query state serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_QUERY_STATE);
-                w.put_bytes(state.query.as_bytes());
-                w.put_varint(state.tag.raw());
-                encode_automaton(&mut w, &state.automaton);
-                w.into_bytes()
-            }
-        }
+        self.encode(KIND_QUERY_STATE, state, |w| state.put(w))
     }
 
     /// Decode a [`Self::encode_query_state`] message.
     pub fn decode_query_state(&self, bytes: &[u8]) -> Result<ObjectQueryState, WireError> {
-        match self.format {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_QUERY_STATE)?;
-                let query = get_string(&mut r)?;
-                let tag = TagId::from_raw(r.get_varint()?);
-                let automaton = decode_automaton(&mut r)?;
-                r.expect_exhausted()?;
-                Ok(ObjectQueryState {
-                    query,
-                    tag,
-                    automaton,
-                })
-            }
-        }
+        self.decode(KIND_QUERY_STATE, bytes, Wire::get)
     }
 
     /// Encode a centroid-compressed query-state bundle.
     pub fn encode_bundle(&self, bundle: &SharedStateBundle) -> Vec<u8> {
-        match self.format {
-            WireFormat::Json => serde_json::to_vec(bundle).expect("bundle serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_BUNDLE);
-                w.put_varint(bundle.centroid_tag.raw());
-                w.put_bytes(&bundle.centroid_bytes);
-                w.put_varint(bundle.deltas.len() as u64);
-                for delta in &bundle.deltas {
-                    encode_delta(&mut w, delta);
-                }
-                w.into_bytes()
-            }
-        }
+        self.encode(KIND_BUNDLE, bundle, |w| bundle.put(w))
     }
 
     /// Decode a [`Self::encode_bundle`] message.
     pub fn decode_bundle(&self, bytes: &[u8]) -> Result<SharedStateBundle, WireError> {
-        match self.format {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_BUNDLE)?;
-                let centroid_tag = TagId::from_raw(r.get_varint()?);
-                let centroid_bytes = r.get_bytes()?;
-                let count = r.get_varint()? as usize;
-                let mut deltas = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    deltas.push(decode_delta(&mut r)?);
-                }
-                r.expect_exhausted()?;
-                Ok(SharedStateBundle {
-                    centroid_tag,
-                    centroid_bytes,
-                    deltas,
-                })
-            }
-        }
+        self.decode(KIND_BUNDLE, bytes, Wire::get)
     }
 
     /// The diffable (tag-less) payload of one query state, in this codec's
@@ -282,12 +184,10 @@ impl WireCodec {
     pub fn state_payload(&self, state: &ObjectQueryState) -> Vec<u8> {
         match self.format {
             WireFormat::Json => json_payload(state),
-            WireFormat::Binary => {
-                let mut w = header(KIND_STATE_PAYLOAD);
-                w.put_bytes(state.query.as_bytes());
-                encode_automaton(&mut w, &state.automaton);
-                w.into_bytes()
-            }
+            WireFormat::Binary => encode_binary(KIND_STATE_PAYLOAD, |w| {
+                state.query.put(w);
+                state.automaton.put(w);
+            }),
         }
     }
 
@@ -301,29 +201,59 @@ impl WireCodec {
     ) -> Result<ObjectQueryState, WireError> {
         match self.format {
             WireFormat::Json => Ok(state_from_json_payload(tag, payload)?),
-            WireFormat::Binary => {
-                let mut r = check_header(payload, KIND_STATE_PAYLOAD)?;
-                let query = get_string(&mut r)?;
-                let automaton = decode_automaton(&mut r)?;
-                r.expect_exhausted()?;
+            WireFormat::Binary => decode_binary(payload, KIND_STATE_PAYLOAD, |r| {
                 Ok(ObjectQueryState {
-                    query,
+                    query: Wire::get(r)?,
                     tag,
-                    automaton,
+                    automaton: Wire::get(r)?,
                 })
-            }
+            }),
+        }
+    }
+
+    /// Encode `value` in this codec's format: its `serde_json` serialization,
+    /// or a binary header for `kind` followed by `body`.
+    pub(crate) fn encode<T: Serialize + ?Sized>(
+        &self,
+        kind: u8,
+        value: &T,
+        body: impl FnOnce(&mut Writer),
+    ) -> Vec<u8> {
+        match self.format {
+            WireFormat::Json => serde_json::to_vec(value).expect("wire payloads serialize"),
+            WireFormat::Binary => encode_binary(kind, body),
+        }
+    }
+
+    /// Decode a message written by [`Self::encode`] with the same `kind`.
+    pub(crate) fn decode<T: Deserialize>(
+        &self,
+        kind: u8,
+        bytes: &[u8],
+        body: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        match self.format {
+            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
+            WireFormat::Binary => decode_binary(bytes, kind, body),
         }
     }
 }
 
-pub(crate) fn header(kind: u8) -> Writer {
+/// A binary message: the version byte, the `kind` byte, then `body`.
+fn encode_binary(kind: u8, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u8(WIRE_VERSION);
     w.put_u8(kind);
-    w
+    body(&mut w);
+    w.into_bytes()
 }
 
-pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<Reader<'_>, WireError> {
+/// Read a binary message of `kind` whose body `body` must consume exactly.
+fn decode_binary<T>(
+    bytes: &[u8],
+    kind: u8,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
     let mut r = Reader::new(bytes);
     let version = r.get_u8()?;
     if version != WIRE_VERSION {
@@ -337,262 +267,135 @@ pub(crate) fn check_header(bytes: &[u8], kind: u8) -> Result<Reader<'_>, WireErr
             "payload kind mismatch: expected {kind:#04x}, got {got:#04x}"
         )));
     }
-    Ok(r)
+    let value = body(&mut r)?;
+    r.expect_exhausted()?;
+    Ok(value)
 }
 
-pub(crate) fn get_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    String::from_utf8(r.get_bytes()?).map_err(|_| WireError::new("string is not valid UTF-8"))
-}
-
-pub(crate) fn get_epoch(raw: i64) -> Result<Epoch, WireError> {
-    u32::try_from(raw)
-        .map(Epoch)
-        .map_err(|_| WireError::new("epoch out of u32 range"))
-}
-
-/// Accumulate one zigzag delta onto a running base without wrapping: a
-/// hostile message can place each individual delta in range while their sum
-/// overflows `i64` (an abort under `overflow-checks`, silent wrap without).
-pub(crate) fn checked_delta(base: i64, delta: i64, what: &str) -> Result<i64, WireError> {
-    base.checked_add(delta)
-        .ok_or_else(|| WireError::length_overflow(what))
-}
-
-/// Optional tag reference against a table: `0` for `None`, `1 + index`
-/// otherwise.
-pub(crate) fn put_opt_tag(w: &mut Writer, table: &TagTable, tag: Option<TagId>) {
-    match tag {
-        None => w.put_varint(0),
-        Some(t) => w.put_varint(1 + table.index_of(t)),
-    }
-}
-
-pub(crate) fn get_opt_tag(
-    r: &mut Reader<'_>,
-    table: &TagTable,
-) -> Result<Option<TagId>, WireError> {
-    match r.get_varint()? {
-        0 => Ok(None),
-        n => Ok(Some(table.tag_at(n - 1)?)),
-    }
-}
-
-fn encode_collapsed_body(w: &mut Writer, state: &CollapsedState) {
-    let table = TagTable::from_tags(
-        std::iter::once(state.object)
-            .chain(state.weights.keys().copied())
-            .chain(state.container),
-    );
-    table.encode(w);
-    w.put_varint(table.index_of(state.object));
-    put_opt_tag(w, &table, state.container);
-    w.put_varint(state.weights.len() as u64);
-    for (&tag, &weight) in &state.weights {
-        w.put_varint(table.index_of(tag));
-        w.put_f64(weight);
-    }
-}
-
-fn decode_collapsed_body(r: &mut Reader<'_>) -> Result<CollapsedState, WireError> {
-    let table = TagTable::decode(r)?;
-    let object = table.tag_at(r.get_varint()?)?;
-    let container = get_opt_tag(r, &table)?;
-    let count = r.get_varint()? as usize;
-    let mut weights = BTreeMap::new();
-    for _ in 0..count {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let weight = r.get_f64()?;
-        weights.insert(tag, weight);
-    }
-    if weights.len() != count {
-        return Err(WireError::new("duplicate candidate in collapsed weights"));
-    }
-    Ok(CollapsedState {
-        object,
-        weights,
-        container,
-    })
-}
-
-fn encode_readings_state_body(w: &mut Writer, state: &ReadingsState) {
-    let table = TagTable::from_tags(
-        std::iter::once(state.object)
-            .chain(state.container)
-            .chain(state.readings.iter().map(|r| r.tag)),
-    );
-    table.encode(w);
-    w.put_varint(table.index_of(state.object));
-    put_opt_tag(w, &table, state.container);
-    encode_reading_seq(w, &table, &state.readings);
-}
-
-fn decode_readings_state_body(r: &mut Reader<'_>) -> Result<ReadingsState, WireError> {
-    let table = TagTable::decode(r)?;
-    let object = table.tag_at(r.get_varint()?)?;
-    let container = get_opt_tag(r, &table)?;
-    let readings = decode_reading_seq(r, &table)?;
-    Ok(ReadingsState {
-        object,
-        readings,
-        container,
-    })
-}
-
-/// Order-preserving reading sequence: per reading a tag-table index, the
-/// epoch as a zigzag delta against the previous reading's epoch, and the
-/// reader id. Time-sorted runs — the overwhelmingly common layout — cost one
-/// byte of delta per reading; tag-grouped exports pay one longer (negative)
-/// delta per group boundary.
-fn encode_reading_seq(w: &mut Writer, table: &TagTable, readings: &[RawReading]) {
-    w.put_varint(readings.len() as u64);
-    let mut prev_epoch = 0i64;
-    for reading in readings {
-        w.put_varint(table.index_of(reading.tag));
-        w.put_zigzag(i64::from(reading.time.0) - prev_epoch);
-        prev_epoch = i64::from(reading.time.0);
-        w.put_varint(u64::from(reading.reader.0));
-    }
-}
-
-fn decode_reading_seq(r: &mut Reader<'_>, table: &TagTable) -> Result<Vec<RawReading>, WireError> {
-    let count = r.get_varint()? as usize;
-    let mut readings = Vec::with_capacity(count.min(1 << 20));
-    let mut prev_epoch = 0i64;
-    for _ in 0..count {
-        let tag = table.tag_at(r.get_varint()?)?;
-        let epoch = get_epoch(checked_delta(prev_epoch, r.get_zigzag()?, "reading epoch")?)?;
-        prev_epoch = i64::from(epoch.0);
-        let reader = r.get_varint()?;
-        let reader = u16::try_from(reader)
-            .map(ReaderId)
-            .map_err(|_| WireError::new("reader id out of u16 range"))?;
-        readings.push(RawReading::new(epoch, tag, reader));
-    }
-    Ok(readings)
-}
-
-pub(crate) fn encode_automaton(w: &mut Writer, automaton: &AutomatonState) {
-    match automaton {
-        AutomatonState::Idle => w.put_u8(AUTOMATON_IDLE),
-        AutomatonState::Accumulating {
-            since,
-            readings,
-            fired,
-        } => {
-            w.put_u8(AUTOMATON_ACCUMULATING);
-            w.put_varint(u64::from(since.0));
-            w.put_u8(u8::from(*fired));
-            w.put_varint(readings.len() as u64);
-            // Collected readings are in observation order, almost always
-            // ascending from `since`; delta-encode against the previous one.
-            let mut prev_epoch = i64::from(since.0);
-            for (epoch, value) in readings {
-                w.put_zigzag(i64::from(epoch.0) - prev_epoch);
-                prev_epoch = i64::from(epoch.0);
-                w.put_f64(*value);
+impl Wire for MigrationState {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            MigrationState::None => w.put_u8(MIGRATION_NONE),
+            MigrationState::Collapsed(state) => {
+                w.put_u8(MIGRATION_COLLAPSED);
+                w.put_tabled(|w| state.put(w));
             }
+            MigrationState::Readings(state) => {
+                w.put_u8(MIGRATION_READINGS);
+                w.put_tabled(|w| state.put(w));
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            MIGRATION_NONE => Ok(MigrationState::None),
+            MIGRATION_COLLAPSED => r.get_tabled(Wire::get).map(MigrationState::Collapsed),
+            MIGRATION_READINGS => r.get_tabled(Wire::get).map(MigrationState::Readings),
+            _ => Err(WireError::new("unknown migration-state variant")),
         }
     }
 }
 
-pub(crate) fn decode_automaton(r: &mut Reader<'_>) -> Result<AutomatonState, WireError> {
-    match r.get_u8()? {
-        AUTOMATON_IDLE => Ok(AutomatonState::Idle),
-        AUTOMATON_ACCUMULATING => {
-            let since = get_epoch(r.get_varint()? as i64)?;
-            let fired = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::new("invalid fired flag")),
-            };
-            let count = r.get_varint()? as usize;
-            let mut readings = Vec::with_capacity(count.min(1 << 20));
-            let mut prev_epoch = i64::from(since.0);
-            for _ in 0..count {
-                let epoch = get_epoch(checked_delta(
-                    prev_epoch,
-                    r.get_zigzag()?,
-                    "automaton epoch",
-                )?)?;
-                prev_epoch = i64::from(epoch.0);
-                readings.push((epoch, r.get_f64()?));
-            }
-            Ok(AutomatonState::Accumulating {
+wire_struct!(CollapsedState: object, container, weights);
+wire_struct!(ReadingsState: object, container, readings);
+wire_struct!(ObjectQueryState: query, tag, automaton);
+wire_struct!(SharedStateBundle: centroid_tag, centroid_bytes, deltas);
+
+/// Reading sequences are delta sequences keyed by epoch: per reading its
+/// tag, the epoch delta, then the reader. Time-sorted runs — the common
+/// layout — cost one byte of delta per reading; tag-grouped exports pay one
+/// longer (negative) delta per group boundary.
+impl Keyed for RawReading {
+    #[inline]
+    fn put_keyed(&self, w: &mut Writer, key: &mut Delta) {
+        self.tag.put(w);
+        key.put(w, self.time.0);
+        self.reader.put(w);
+    }
+
+    #[inline]
+    fn get_keyed(r: &mut Reader<'_>, key: &mut Delta) -> Result<Self, WireError> {
+        Ok(RawReading {
+            tag: Wire::get(r)?,
+            time: Epoch(key.get(r)?),
+            reader: Wire::get(r)?,
+        })
+    }
+}
+
+delta_sequenced!(RawReading);
+
+impl Wire for AutomatonState {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            AutomatonState::Idle => w.put_u8(AUTOMATON_IDLE),
+            AutomatonState::Accumulating {
                 since,
                 readings,
                 fired,
-            })
-        }
-        _ => Err(WireError::new("unknown automaton variant")),
-    }
-}
-
-fn encode_delta(w: &mut Writer, delta: &StateDelta) {
-    w.put_varint(delta.tag.raw());
-    w.put_varint(u64::from(delta.len));
-    match &delta.full {
-        Some(full) => {
-            w.put_u8(1);
-            w.put_bytes(full);
-        }
-        None => {
-            w.put_u8(0);
-            w.put_varint(delta.edits.len() as u64);
-            // Edit positions ascend (they are produced by a forward scan);
-            // zigzag deltas keep arbitrary orders decodable all the same.
-            let mut prev_pos = 0i64;
-            for &(pos, byte) in &delta.edits {
-                w.put_zigzag(i64::from(pos) - prev_pos);
-                prev_pos = i64::from(pos);
-                w.put_u8(byte);
+            } => {
+                w.put_u8(AUTOMATON_ACCUMULATING);
+                since.put(w);
+                fired.put(w);
+                // Collected readings ascend from `since`: delta against it.
+                w.put_deltas(since.0, readings.iter());
             }
-            w.put_bytes(&delta.suffix);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            AUTOMATON_IDLE => Ok(AutomatonState::Idle),
+            AUTOMATON_ACCUMULATING => {
+                let since = Epoch::get(r)?;
+                Ok(AutomatonState::Accumulating {
+                    since,
+                    fired: Wire::get(r)?,
+                    readings: r.get_deltas(since.0)?,
+                })
+            }
+            _ => Err(WireError::new("unknown automaton variant")),
         }
     }
 }
 
-fn decode_delta(r: &mut Reader<'_>) -> Result<StateDelta, WireError> {
-    let tag = TagId::from_raw(r.get_varint()?);
-    let len = u32::try_from(r.get_varint()?)
-        .map_err(|_| WireError::new("delta length out of u32 range"))?;
-    match r.get_u8()? {
-        1 => {
-            let full = r.get_bytes()?;
-            Ok(StateDelta {
-                tag,
-                edits: Vec::new(),
-                suffix: Vec::new(),
-                len,
-                full: Some(full),
-            })
+/// A delta is its tag, length and optional full payload; only without the
+/// full payload do the edits (positions delta-encoded) and suffix follow.
+impl Wire for StateDelta {
+    fn put(&self, w: &mut Writer) {
+        self.tag.put(w);
+        self.len.put(w);
+        self.full.put(w);
+        if self.full.is_none() {
+            self.edits.put(w);
+            self.suffix.put(w);
         }
-        0 => {
-            let count = r.get_varint()? as usize;
-            let mut edits = Vec::with_capacity(count.min(1 << 20));
-            let mut prev_pos = 0i64;
-            for _ in 0..count {
-                let pos = checked_delta(prev_pos, r.get_zigzag()?, "edit position")?;
-                prev_pos = pos;
-                let pos = u32::try_from(pos)
-                    .map_err(|_| WireError::new("edit position out of u32 range"))?;
-                edits.push((pos, r.get_u8()?));
-            }
-            let suffix = r.get_bytes()?;
-            Ok(StateDelta {
-                tag,
-                edits,
-                suffix,
-                len,
-                full: None,
-            })
-        }
-        _ => Err(WireError::new("invalid delta flag")),
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let tag = Wire::get(r)?;
+        let len = Wire::get(r)?;
+        let full: Option<Vec<u8>> = Wire::get(r)?;
+        let (edits, suffix) = match full {
+            Some(_) => (Vec::new(), Vec::new()),
+            None => (Wire::get(r)?, Wire::get(r)?),
+        };
+        Ok(StateDelta {
+            tag,
+            edits,
+            suffix,
+            len,
+            full,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_types::ReaderId;
+    use std::collections::BTreeMap;
 
     fn codecs() -> [WireCodec; 2] {
         [

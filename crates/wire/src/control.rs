@@ -8,8 +8,8 @@
 //! payload (kind `0x08`), so their bytes are charged and visible in the
 //! communication tables.
 
-use crate::codec::{check_header, header, WireCodec};
-use crate::{WireError, WireFormat};
+use crate::primitives::{Reader, Wire, Writer};
+use crate::{WireCodec, WireError};
 use rfid_types::Epoch;
 use serde::{Deserialize, Serialize};
 
@@ -48,70 +48,54 @@ pub enum ControlMsg {
 impl WireCodec {
     /// Encode a transport control message.
     pub fn encode_control(&self, msg: &ControlMsg) -> Vec<u8> {
-        match self.format() {
-            WireFormat::Json => serde_json::to_vec(msg).expect("control message serializes"),
-            WireFormat::Binary => {
-                let mut w = header(KIND_CONTROL);
-                match msg {
-                    ControlMsg::Ack { from, to, seq } => {
-                        w.put_u8(CONTROL_ACK);
-                        w.put_varint(u64::from(*from));
-                        w.put_varint(u64::from(*to));
-                        w.put_varint(*seq);
-                    }
-                    ControlMsg::Resync { site, peer, since } => {
-                        w.put_u8(CONTROL_RESYNC);
-                        w.put_varint(u64::from(*site));
-                        w.put_varint(u64::from(*peer));
-                        w.put_varint(u64::from(since.0));
-                    }
-                }
-                w.into_bytes()
-            }
-        }
+        self.encode(KIND_CONTROL, msg, |w| msg.put(w))
     }
 
     /// Decode a [`Self::encode_control`] message.
     pub fn decode_control(&self, bytes: &[u8]) -> Result<ControlMsg, WireError> {
-        match self.format() {
-            WireFormat::Json => Ok(serde_json::from_slice(bytes)?),
-            WireFormat::Binary => {
-                let mut r = check_header(bytes, KIND_CONTROL)?;
-                let msg = match r.get_u8()? {
-                    CONTROL_ACK => {
-                        let from = get_site(&mut r)?;
-                        let to = get_site(&mut r)?;
-                        let seq = r.get_varint()?;
-                        ControlMsg::Ack { from, to, seq }
-                    }
-                    CONTROL_RESYNC => {
-                        let site = get_site(&mut r)?;
-                        let peer = get_site(&mut r)?;
-                        let since = get_control_epoch(&mut r)?;
-                        ControlMsg::Resync { site, peer, since }
-                    }
-                    _ => return Err(WireError::new("unknown control variant")),
-                };
-                r.expect_exhausted()?;
-                Ok(msg)
-            }
-        }
+        self.decode(KIND_CONTROL, bytes, Wire::get)
     }
 }
 
-fn get_site(r: &mut crate::primitives::Reader<'_>) -> Result<u16, WireError> {
-    u16::try_from(r.get_varint()?).map_err(|_| WireError::new("site id out of u16 range"))
-}
+impl Wire for ControlMsg {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            ControlMsg::Ack { from, to, seq } => {
+                w.put_u8(CONTROL_ACK);
+                from.put(w);
+                to.put(w);
+                seq.put(w);
+            }
+            ControlMsg::Resync { site, peer, since } => {
+                w.put_u8(CONTROL_RESYNC);
+                site.put(w);
+                peer.put(w);
+                since.put(w);
+            }
+        }
+    }
 
-fn get_control_epoch(r: &mut crate::primitives::Reader<'_>) -> Result<Epoch, WireError> {
-    u32::try_from(r.get_varint()?)
-        .map(Epoch)
-        .map_err(|_| WireError::new("epoch out of u32 range"))
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            CONTROL_ACK => Ok(ControlMsg::Ack {
+                from: Wire::get(r)?,
+                to: Wire::get(r)?,
+                seq: Wire::get(r)?,
+            }),
+            CONTROL_RESYNC => Ok(ControlMsg::Resync {
+                site: Wire::get(r)?,
+                peer: Wire::get(r)?,
+                since: Wire::get(r)?,
+            }),
+            _ => Err(WireError::new("unknown control variant")),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireFormat;
 
     fn codecs() -> [WireCodec; 2] {
         [

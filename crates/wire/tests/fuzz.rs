@@ -6,9 +6,15 @@
 //! This is the runtime half of the `panic-free-decode` invariant; the static
 //! half is enforced by `rfid-lint` over `crates/wire/src`.
 
+mod common;
+
+use common::{
+    arb_bundle, arb_checkpoint, arb_collapsed, arb_control, arb_migration, arb_query_state,
+    arb_readings,
+};
 use proptest::prelude::*;
-use rfid_core::{CollapsedState, MigrationState, ReadingsState};
-use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle, StateDelta};
+use rfid_core::{CollapsedState, MigrationState};
+use rfid_query::{AutomatonState, ObjectQueryState, SharedStateBundle};
 use rfid_types::{Epoch, RawReading, ReaderId, TagId};
 use rfid_wire::primitives::{Reader, TagTable, Writer};
 use rfid_wire::{WireCodec, WireErrorKind, WireFormat, WIRE_VERSION};
@@ -37,271 +43,7 @@ fn decode_everything(codec: &WireCodec, bytes: &[u8]) {
     let _ = codec.state_from_payload(TagId::item(1), bytes);
 }
 
-fn arb_tag() -> impl Strategy<Value = TagId> {
-    (0u64..3, prop_oneof![0u64..200, Just((1u64 << 62) - 1)]).prop_map(
-        |(kind, serial)| match kind {
-            0 => TagId::item(serial),
-            1 => TagId::case(serial),
-            _ => TagId::pallet(serial),
-        },
-    )
-}
-
-fn arb_epoch() -> impl Strategy<Value = Epoch> {
-    prop_oneof![
-        (0u32..5000).prop_map(Epoch),
-        Just(Epoch(u32::MAX)),
-        Just(Epoch(0)),
-    ]
-}
-
-fn arb_weight() -> impl Strategy<Value = f64> {
-    prop_oneof![-1e6f64..1e6, Just(0.0f64), Just(-0.0f64), Just(-1e-300f64)]
-}
-
-fn arb_readings() -> impl Strategy<Value = Vec<RawReading>> {
-    prop::collection::vec(
-        (arb_epoch(), arb_tag(), 0u16..u16::MAX)
-            .prop_map(|(time, tag, reader)| RawReading::new(time, tag, ReaderId(reader))),
-        0..40,
-    )
-}
-
-fn arb_collapsed() -> impl Strategy<Value = CollapsedState> {
-    (
-        arb_tag(),
-        prop::collection::btree_map(arb_tag(), arb_weight(), 0..10),
-        prop::option::of(arb_tag()),
-    )
-        .prop_map(|(object, weights, container)| CollapsedState {
-            object,
-            weights,
-            container,
-        })
-}
-
-fn arb_migration() -> impl Strategy<Value = MigrationState> {
-    prop_oneof![
-        Just(MigrationState::None),
-        arb_collapsed().prop_map(MigrationState::Collapsed),
-        (arb_tag(), arb_readings(), prop::option::of(arb_tag())).prop_map(
-            |(object, readings, container)| {
-                MigrationState::Readings(ReadingsState {
-                    object,
-                    readings,
-                    container,
-                })
-            }
-        ),
-    ]
-}
-
-fn arb_query_state() -> impl Strategy<Value = ObjectQueryState> {
-    (
-        0u32..4,
-        arb_tag(),
-        prop_oneof![
-            Just(AutomatonState::Idle),
-            (
-                arb_epoch(),
-                prop::collection::vec((arb_epoch(), arb_weight()), 0..15),
-                any::<bool>(),
-            )
-                .prop_map(|(since, readings, fired)| AutomatonState::Accumulating {
-                    since,
-                    readings,
-                    fired,
-                }),
-        ],
-    )
-        .prop_map(|(q, tag, automaton)| ObjectQueryState {
-            query: format!("Q{q}"),
-            tag,
-            automaton,
-        })
-}
-
-fn arb_bundle() -> impl Strategy<Value = SharedStateBundle> {
-    (
-        arb_tag(),
-        prop::collection::vec(any::<u8>(), 0..32),
-        prop::collection::vec(
-            (
-                arb_tag(),
-                prop::collection::vec((0u32..4096, any::<u8>()), 0..8),
-                prop::collection::vec(any::<u8>(), 0..12),
-                0u32..8192,
-                prop::option::of(prop::collection::vec(any::<u8>(), 0..16)),
-            )
-                .prop_map(|(tag, mut edits, suffix, len, full)| {
-                    edits.sort_by_key(|&(pos, _)| pos);
-                    edits.dedup_by_key(|&mut (pos, _)| pos);
-                    let (edits, suffix) = if full.is_some() {
-                        (Vec::new(), Vec::new())
-                    } else {
-                        (edits, suffix)
-                    };
-                    StateDelta {
-                        tag,
-                        edits,
-                        suffix,
-                        len,
-                        full,
-                    }
-                }),
-            0..6,
-        ),
-    )
-        .prop_map(|(centroid_tag, centroid_bytes, deltas)| SharedStateBundle {
-            centroid_tag,
-            centroid_bytes,
-            deltas,
-        })
-}
-
-/// A small but fully-populated checkpoint: every section non-empty, so
-/// truncation and bit-flip sweeps cross section boundaries.
-fn arb_checkpoint() -> impl Strategy<Value = rfid_wire::SiteCheckpoint> {
-    use rfid_core::{
-        CachedVariant, DirtySet, EngineSnapshot, EvidenceCache, Observations, PriorWeights,
-    };
-    use rfid_query::ProcessorSnapshot;
-    use rfid_types::{ContainmentMap, LocationId, SensorReading};
-    (
-        arb_readings(),
-        prop::collection::vec((arb_tag(), arb_tag(), arb_weight()), 0..6),
-        prop::collection::vec((arb_tag(), arb_epoch()), 0..6),
-        arb_query_state(),
-        (arb_epoch(), 0u16..16, arb_tag(), arb_epoch()),
-    )
-        .prop_map(
-            |(readings, priors, records, state, (depart, to, tag, arrive))| {
-                let mut store = Observations::new();
-                for reading in &readings {
-                    store.insert(*reading);
-                }
-                let mut prior = PriorWeights::empty();
-                let mut containment = ContainmentMap::new();
-                for (object, container, weight) in priors {
-                    prior.set(object, container, weight);
-                    containment.set(object, container);
-                }
-                let mut dirty = DirtySet::new();
-                for (dirty_tag, epoch) in records {
-                    dirty.record(dirty_tag, epoch);
-                }
-                let mut cache = EvidenceCache::new();
-                cache.set_variants(
-                    tag,
-                    vec![CachedVariant {
-                        members: vec![tag],
-                        epochs: vec![depart],
-                        qrows: vec![0.5, -0.5],
-                        evidence: [(tag, vec![(depart, 1.0)])].into_iter().collect(),
-                    }],
-                );
-                rfid_wire::SiteCheckpoint {
-                    site: 3,
-                    at: arrive,
-                    engine: EngineSnapshot {
-                        store,
-                        prior,
-                        containment,
-                        detected: Vec::new(),
-                        last_outcome: None,
-                        last_inference_at: Some(arrive),
-                        threshold: Some(4.5),
-                        dirty,
-                        cache,
-                    },
-                    processor: ProcessorSnapshot {
-                        temperatures: vec![SensorReading::new(depart, LocationId(1), 20.5)],
-                        automata: vec![state.clone()],
-                        alerts: Vec::new(),
-                    },
-                    reading_cursor: readings.len() as u64,
-                    sensor_cursor: 1,
-                    departure_cursor: 0,
-                    inbox: vec![rfid_wire::PendingShipment {
-                        depart,
-                        from: 0,
-                        to,
-                        tag,
-                        arrive,
-                        seq: 9,
-                        physical: arrive,
-                        inference: Some(vec![7, 7, 7]),
-                        query: vec![state],
-                    }],
-                    comm_bytes: [1, 2, 3, 4, 5],
-                    comm_messages: [1, 1, 1, 1, 1],
-                    shared_bytes: 10,
-                    unshared_bytes: 20,
-                    inference_runs: 2,
-                    stats: Default::default(),
-                    inbox_seqs: vec![rfid_wire::EdgeSeqs {
-                        peer: to,
-                        watermark: 4,
-                        extras: vec![6, 9],
-                    }],
-                    transport: rfid_wire::TransportStats {
-                        envelopes: 3,
-                        transmissions: 5,
-                        retransmissions: 2,
-                        acks: 3,
-                        duplicates_dropped: 1,
-                        reconciled: 1,
-                        stale_dropped: 0,
-                        abandoned: 0,
-                        resyncs: 1,
-                        quarantined: 1,
-                    },
-                    quarantine: vec![rfid_wire::QuarantineEntry {
-                        from: 0,
-                        seq: 9,
-                        physical: arrive,
-                    }],
-                    memory: rfid_core::MemoryStats {
-                        high_water: 12,
-                        compactions: 1,
-                        compacted_observations: 4,
-                        evicted_cache_entries: 1,
-                    },
-                    ledgers: vec![rfid_wire::EdgeLedger {
-                        from: 0,
-                        to,
-                        envelopes: 3,
-                        abandoned: 0,
-                        sent_copies: 4,
-                        sent_bytes: 64,
-                        recv_copies: 4,
-                        recv_bytes: 64,
-                        accepted: 3,
-                        imported: 2,
-                        stale: 0,
-                        quarantined: 1,
-                        undelivered: 1,
-                        undelivered_bytes: 16,
-                        dark_envelopes: 0,
-                    }],
-                }
-            },
-        )
-}
-
 /// Valid binary encodings of every payload family, for mutation.
-fn arb_control() -> impl Strategy<Value = rfid_wire::ControlMsg> {
-    prop_oneof![
-        (0u16..64, 0u16..64, any::<u64>()).prop_map(|(from, to, seq)| rfid_wire::ControlMsg::Ack {
-            from,
-            to,
-            seq
-        }),
-        (0u16..64, 0u16..64, arb_epoch())
-            .prop_map(|(site, peer, since)| rfid_wire::ControlMsg::Resync { site, peer, since }),
-    ]
-}
-
 fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         arb_readings().prop_map(|r| binary().encode_readings(&r)),
