@@ -377,11 +377,7 @@ wire_struct!(Alert: query, tag, since, at, readings);
 /// replays them through [`Observations::insert`].
 impl Wire for Observations {
     fn put(&self, w: &mut Writer) {
-        w.put_varint(self.tags().count() as u64);
-        for (tag, observations) in self.entries() {
-            tag.put(w);
-            ObsAt::put_seq(observations, w);
-        }
+        w.put_map(self.tags().count(), self.entries(), ObsAt::put_seq);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -419,15 +415,14 @@ delta_sequenced!(ObsAt);
 /// Priors are a map from object to its map from container to weight.
 impl Wire for PriorWeights {
     fn put(&self, w: &mut Writer) {
-        w.put_varint(self.objects().count() as u64);
-        for object in self.objects() {
-            object.put(w);
-            w.put_varint(self.entries_for(object).count() as u64);
-            for (container, weight) in self.entries_for(object) {
-                container.put(w);
-                weight.put(w);
-            }
-        }
+        // Each object's value is its own container-to-weight map.
+        let objects = self.objects().map(|object| (object, object));
+        w.put_map(self.objects().count(), objects, |object, w| {
+            let weights = self.entries_for(object);
+            w.put_map(self.entries_for(object).count(), weights, |weight, w| {
+                weight.put(w)
+            });
+        });
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -445,11 +440,7 @@ impl Wire for PriorWeights {
 /// Containment is a map from object to container.
 impl Wire for ContainmentMap {
     fn put(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for (object, container) in self.iter() {
-            object.put(w);
-            container.put(w);
-        }
+        w.put_map(self.len(), self.iter(), |container, w| container.put(w));
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -466,11 +457,9 @@ impl Wire for ContainmentMap {
 /// tag marked without epochs).
 impl Wire for DirtySet {
     fn put(&self, w: &mut Writer) {
-        w.put_varint(self.num_tags() as u64);
-        for (tag, epochs) in self.entries() {
-            tag.put(w);
-            w.put_deltas(0, epochs.iter());
-        }
+        w.put_map(self.num_tags(), self.entries(), |epochs, w| {
+            w.put_deltas(0, epochs.iter())
+        });
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -487,11 +476,11 @@ impl Wire for DirtySet {
 /// The evidence cache is a map from container to its cached variants.
 impl Wire for EvidenceCache {
     fn put(&self, w: &mut Writer) {
-        w.put_varint(self.variants().count() as u64);
-        for (container, variants) in self.variants() {
-            container.put(w);
-            CachedVariant::put_seq(variants, w);
-        }
+        w.put_map(
+            self.variants().count(),
+            self.variants(),
+            CachedVariant::put_seq,
+        );
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {

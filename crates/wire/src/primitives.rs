@@ -135,6 +135,23 @@ impl Writer {
         self.table = outer;
     }
 
+    /// Write a map: the count `len`, then each key and its value, in the
+    /// ascending key order `entries` yields. This is the one map rule on the
+    /// encode side; the `BTreeMap` impl is its decode side.
+    #[inline]
+    pub(crate) fn put_map<K: Wire, V>(
+        &mut self,
+        len: usize,
+        entries: impl IntoIterator<Item = (K, V)>,
+        put_value: impl Fn(V, &mut Writer),
+    ) {
+        self.put_varint(len as u64);
+        for (key, value) in entries {
+            key.put(self);
+            put_value(value, self);
+        }
+    }
+
     /// Write `items` as a delta sequence: the count, then each item with its
     /// key written as a zigzag delta against the previous item's key (the
     /// first against `base`). Sorted keys cost one byte each; unsorted ones
@@ -733,15 +750,15 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// A map is the count, then each key and its value in ascending key order.
-/// Decoding rejects a repeated key, so one map has one encoding.
-impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+/// A map is written by [`Writer::put_map`]. Decoding rejects a repeated
+/// key, so one map has one encoding.
+impl<K: Wire + Ord + Copy, V: Wire> Wire for BTreeMap<K, V> {
     fn put(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for (key, value) in self {
-            key.put(w);
-            value.put(w);
-        }
+        w.put_map(
+            self.len(),
+            self.iter().map(|(&key, value)| (key, value)),
+            V::put,
+        );
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.get_len()?;

@@ -135,12 +135,14 @@ pub fn arb_bundle() -> impl Strategy<Value = SharedStateBundle> {
         })
 }
 
-// Checkpoint generators. Every section they produce is non-empty — the
-// observation store, priors, containment, detected changes, the last
-// outcome, dirty journal, evidence cache, processor state with alerts, the
-// inbox, edge sequences, quarantine and ledgers — so the fuzz sweeps'
-// truncations and bit flips reach every section decoder. Empty sections are
-// pinned by the unit tests and `checkpoint_epochs_survive_the_wraparound_boundary`.
+// Checkpoint generators. Each takes `min`, the lower bound on the length of
+// every section it produces. `roundtrip.rs` passes 0, so empty sections, a
+// missing last outcome and mixes of empty and populated sections all
+// round-trip. `fuzz.rs` passes 1: every section — the observation store,
+// priors, containment, detected changes, the last outcome, dirty journal,
+// evidence cache, processor state with alerts, the inbox, edge sequences,
+// quarantine and ledgers — is non-empty, so the truncation and bit-flip
+// sweeps reach every section decoder.
 
 /// An `(epoch, value)` series in arbitrary order — the codec must preserve
 /// order and duplicates bitwise.
@@ -148,8 +150,8 @@ pub fn arb_series() -> impl Strategy<Value = Vec<(Epoch, f64)>> {
     prop::collection::vec((arb_epoch(), arb_weight()), 0..6)
 }
 
-pub fn arb_observations() -> impl Strategy<Value = Observations> {
-    prop::collection::vec(arb_reading(), 1..25).prop_map(|readings| {
+pub fn arb_observations(min: usize) -> impl Strategy<Value = Observations> {
+    prop::collection::vec(arb_reading(), min..25).prop_map(|readings| {
         let mut store = Observations::new();
         for reading in readings {
             store.insert(reading);
@@ -158,8 +160,8 @@ pub fn arb_observations() -> impl Strategy<Value = Observations> {
     })
 }
 
-pub fn arb_prior() -> impl Strategy<Value = PriorWeights> {
-    prop::collection::vec((arb_tag(), arb_tag(), arb_weight()), 1..8).prop_map(|entries| {
+pub fn arb_prior(min: usize) -> impl Strategy<Value = PriorWeights> {
+    prop::collection::vec((arb_tag(), arb_tag(), arb_weight()), min..8).prop_map(|entries| {
         let mut prior = PriorWeights::empty();
         for (object, container, weight) in entries {
             prior.set(object, container, weight);
@@ -168,8 +170,8 @@ pub fn arb_prior() -> impl Strategy<Value = PriorWeights> {
     })
 }
 
-pub fn arb_containment() -> impl Strategy<Value = ContainmentMap> {
-    prop::collection::btree_map(arb_tag(), arb_tag(), 1..8).prop_map(|pairs| {
+pub fn arb_containment(min: usize) -> impl Strategy<Value = ContainmentMap> {
+    prop::collection::btree_map(arb_tag(), arb_tag(), min..8).prop_map(|pairs| {
         let mut map = ContainmentMap::new();
         for (object, container) in pairs {
             map.set(object, container);
@@ -178,10 +180,10 @@ pub fn arb_containment() -> impl Strategy<Value = ContainmentMap> {
     })
 }
 
-pub fn arb_dirty() -> impl Strategy<Value = DirtySet> {
+pub fn arb_dirty(min: usize) -> impl Strategy<Value = DirtySet> {
     (
         prop::collection::vec(arb_tag(), 0..4),
-        prop::collection::vec((arb_tag(), arb_epoch()), 1..10),
+        prop::collection::vec((arb_tag(), arb_epoch()), min..10),
     )
         .prop_map(|(marks, records)| {
             let mut dirty = DirtySet::new();
@@ -195,7 +197,7 @@ pub fn arb_dirty() -> impl Strategy<Value = DirtySet> {
         })
 }
 
-pub fn arb_cache() -> impl Strategy<Value = EvidenceCache> {
+pub fn arb_cache(min: usize) -> impl Strategy<Value = EvidenceCache> {
     let variant = (
         prop::collection::vec(arb_tag(), 0..4),
         prop::collection::vec(arb_epoch(), 0..5),
@@ -208,7 +210,7 @@ pub fn arb_cache() -> impl Strategy<Value = EvidenceCache> {
             qrows,
             evidence,
         });
-    prop::collection::btree_map(arb_tag(), prop::collection::vec(variant, 1..3), 1..3).prop_map(
+    prop::collection::btree_map(arb_tag(), prop::collection::vec(variant, min..3), min..3).prop_map(
         |containers| {
             let mut cache = EvidenceCache::new();
             for (container, variants) in containers {
@@ -219,7 +221,7 @@ pub fn arb_cache() -> impl Strategy<Value = EvidenceCache> {
     )
 }
 
-pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
+pub fn arb_outcome(min: usize) -> impl Strategy<Value = InferenceOutcome> {
     let evidence = (
         prop::collection::vec(arb_tag(), 0..5),
         prop::collection::btree_map(arb_tag(), arb_weight(), 0..5),
@@ -235,12 +237,12 @@ pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
             },
         );
     (
-        arb_containment(),
-        prop::collection::btree_map(arb_tag(), evidence, 1..4),
+        arb_containment(min),
+        prop::collection::btree_map(arb_tag(), evidence, min..4),
         prop::collection::btree_map(
             arb_tag(),
-            prop::collection::vec((arb_epoch(), (0u16..300).prop_map(LocationId)), 1..5),
-            1..4,
+            prop::collection::vec((arb_epoch(), (0u16..300).prop_map(LocationId)), min..5),
+            min..4,
         ),
         0usize..20,
         0usize..64,
@@ -256,7 +258,7 @@ pub fn arb_outcome() -> impl Strategy<Value = InferenceOutcome> {
         )
 }
 
-pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {
+pub fn arb_engine(min: usize) -> impl Strategy<Value = EngineSnapshot> {
     let detected = (
         arb_tag(),
         arb_epoch(),
@@ -273,16 +275,21 @@ pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {
                 statistic,
             },
         );
+    let last_outcome = if min == 0 {
+        prop::option::of(arb_outcome(0)).boxed()
+    } else {
+        arb_outcome(min).prop_map(Some).boxed()
+    };
     (
-        arb_observations(),
-        arb_prior(),
-        arb_containment(),
-        prop::collection::vec(detected, 1..3),
-        arb_outcome().prop_map(Some),
+        arb_observations(min),
+        arb_prior(min),
+        arb_containment(min),
+        prop::collection::vec(detected, min..3),
+        last_outcome,
         prop::option::of(arb_epoch()),
         prop::option::of(arb_weight()),
-        arb_dirty(),
-        arb_cache(),
+        arb_dirty(min),
+        arb_cache(min),
     )
         .prop_map(
             |(
@@ -311,7 +318,7 @@ pub fn arb_engine() -> impl Strategy<Value = EngineSnapshot> {
         )
 }
 
-pub fn arb_processor() -> impl Strategy<Value = ProcessorSnapshot> {
+pub fn arb_processor(min: usize) -> impl Strategy<Value = ProcessorSnapshot> {
     let alert = ((0u32..4), arb_tag(), arb_epoch(), arb_epoch(), arb_series()).prop_map(
         |(q, tag, since, at, readings)| Alert {
             query: format!("Q{q}"),
@@ -325,10 +332,10 @@ pub fn arb_processor() -> impl Strategy<Value = ProcessorSnapshot> {
         prop::collection::vec(
             (arb_epoch(), 0u16..300, arb_weight())
                 .prop_map(|(time, loc, value)| SensorReading::new(time, LocationId(loc), value)),
-            1..5,
+            min..5,
         ),
-        prop::collection::vec(arb_query_state(), 1..5),
-        prop::collection::vec(alert, 1..4),
+        prop::collection::vec(arb_query_state(), min..5),
+        prop::collection::vec(alert, min..4),
     )
         .prop_map(|(temperatures, automata, alerts)| ProcessorSnapshot {
             temperatures,
@@ -363,7 +370,7 @@ pub fn arb_pending() -> impl Strategy<Value = PendingShipment> {
         )
 }
 
-pub fn arb_edge_seqs() -> impl Strategy<Value = Vec<EdgeSeqs>> {
+pub fn arb_edge_seqs(min: usize) -> impl Strategy<Value = Vec<EdgeSeqs>> {
     prop::collection::vec(
         (
             0u16..64,
@@ -375,7 +382,7 @@ pub fn arb_edge_seqs() -> impl Strategy<Value = Vec<EdgeSeqs>> {
                 watermark,
                 extras,
             }),
-        1..4,
+        min..4,
     )
 }
 
@@ -394,7 +401,7 @@ pub fn arb_transport_stats() -> impl Strategy<Value = TransportStats> {
     })
 }
 
-pub fn arb_quarantine() -> impl Strategy<Value = Vec<rfid_wire::QuarantineEntry>> {
+pub fn arb_quarantine(min: usize) -> impl Strategy<Value = Vec<rfid_wire::QuarantineEntry>> {
     prop::collection::vec(
         (0u16..64, any::<u64>(), arb_epoch()).prop_map(|(from, seq, physical)| {
             rfid_wire::QuarantineEntry {
@@ -403,7 +410,7 @@ pub fn arb_quarantine() -> impl Strategy<Value = Vec<rfid_wire::QuarantineEntry>
                 physical,
             }
         }),
-        1..4,
+        min..4,
     )
 }
 
@@ -416,7 +423,7 @@ pub fn arb_memory() -> impl Strategy<Value = rfid_core::MemoryStats> {
     })
 }
 
-pub fn arb_ledgers() -> impl Strategy<Value = Vec<rfid_wire::EdgeLedger>> {
+pub fn arb_ledgers(min: usize) -> impl Strategy<Value = Vec<rfid_wire::EdgeLedger>> {
     prop::collection::vec(
         (
             (0u16..64, 0u16..64),
@@ -439,11 +446,13 @@ pub fn arb_ledgers() -> impl Strategy<Value = Vec<rfid_wire::EdgeLedger>> {
                 undelivered_bytes: v[11],
                 dark_envelopes: v[12],
             }),
-        1..4,
+        min..4,
     )
 }
 
-pub fn arb_checkpoint() -> impl Strategy<Value = SiteCheckpoint> {
+/// A checkpoint whose sections each hold at least `min` entries; with
+/// `min == 0` the last outcome is also sometimes absent.
+pub fn arb_checkpoint(min: usize) -> impl Strategy<Value = SiteCheckpoint> {
     let accounting = (
         prop::collection::vec(0u64..1 << 40, 5),
         prop::collection::vec(0u64..1 << 20, 5),
@@ -453,16 +462,16 @@ pub fn arb_checkpoint() -> impl Strategy<Value = SiteCheckpoint> {
         prop::collection::vec(0usize..100_000, 5),
     );
     (
-        (0u16..64, arb_epoch(), arb_engine(), arb_processor()),
+        (0u16..64, arb_epoch(), arb_engine(min), arb_processor(min)),
         (0u64..1 << 32, 0u64..1 << 32, 0u64..1 << 32),
-        prop::collection::vec(arb_pending(), 1..4),
+        prop::collection::vec(arb_pending(), min..4),
         accounting,
         (
-            arb_edge_seqs(),
+            arb_edge_seqs(min),
             arb_transport_stats(),
-            arb_quarantine(),
+            arb_quarantine(min),
             arb_memory(),
-            arb_ledgers(),
+            arb_ledgers(min),
         ),
     )
         .prop_map(

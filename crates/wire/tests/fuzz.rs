@@ -51,7 +51,7 @@ fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
         arb_migration().prop_map(|s| binary().encode_migration(&s)),
         arb_query_state().prop_map(|s| binary().encode_query_state(&s)),
         arb_bundle().prop_map(|b| binary().encode_bundle(&b)),
-        arb_checkpoint().prop_map(|c| binary().encode_checkpoint(&c)),
+        arb_checkpoint(1).prop_map(|c| binary().encode_checkpoint(&c)),
         arb_control().prop_map(|m| binary().encode_control(&m)),
     ]
 }
