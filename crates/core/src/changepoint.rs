@@ -131,26 +131,37 @@ pub fn change_statistic(evidence: &ObjectEvidence) -> Option<ChangeStatistic> {
 
 /// Run change-point detection over every object of an inference outcome.
 /// Objects whose statistic exceeds `threshold` are reported, each with the
-/// suffix container as its new containment estimate.
+/// suffix container as its new containment estimate, in ascending object
+/// order. Large outcomes split by object across the dense EM's helper
+/// threads; each object's statistic is computed on one thread, so the
+/// result is the same for every split.
 pub fn detect_changes(
     objects: &std::collections::BTreeMap<TagId, ObjectEvidence>,
     threshold: f64,
 ) -> Vec<DetectedChange> {
-    let mut changes = Vec::new();
-    for (&object, evidence) in objects {
-        if let Some(stat) = change_statistic(evidence) {
-            if stat.delta >= threshold && stat.prefix_container != stat.suffix_container {
-                changes.push(DetectedChange {
-                    object,
-                    change_at: stat.split_at,
-                    old_container: stat.prefix_container,
-                    new_container: stat.suffix_container,
-                    statistic: stat.delta,
-                });
+    use crate::dense::split;
+    let entries: Vec<(&TagId, &ObjectEvidence)> = objects.iter().collect();
+    let cost = |e: &ObjectEvidence| e.point_evidence.values().map(Vec::len).sum::<usize>();
+    let helpers = split::helpers_for(entries.iter().map(|(_, e)| cost(e)).sum());
+    let ranges = split::ranges(entries.iter().map(|(_, e)| cost(e)), helpers + 1);
+    let mut found: Vec<Vec<DetectedChange>> = ranges.iter().map(|_| Vec::new()).collect();
+    let chunks = ranges.into_iter().zip(found.iter_mut()).collect();
+    split::drain(&mut vec![(); helpers + 1], chunks, |_, (range, out)| {
+        for &(&object, evidence) in &entries[range] {
+            if let Some(stat) = change_statistic(evidence) {
+                if stat.delta >= threshold && stat.prefix_container != stat.suffix_container {
+                    out.push(DetectedChange {
+                        object,
+                        change_at: stat.split_at,
+                        old_container: stat.prefix_container,
+                        new_container: stat.suffix_container,
+                        statistic: stat.delta,
+                    });
+                }
             }
         }
-    }
-    changes
+    });
+    found.concat()
 }
 
 /// Offline calibration of the detection threshold δ (Section 3.3).
@@ -189,6 +200,7 @@ impl Default for ThresholdCalibrator {
 impl ThresholdCalibrator {
     /// Calibrate δ for the given likelihood model.
     pub fn calibrate<R: Rng>(&self, model: &LikelihoodModel, rng: &mut R) -> f64 {
+        use crate::dense::split;
         use crate::observations::Observations;
         use crate::rfinfer::RfInfer;
         use rfid_types::{RawReading, ReadingBatch};
@@ -212,7 +224,9 @@ impl ThresholdCalibrator {
                 })
                 .unwrap_or(a)
         };
-        let mut worst: f64 = 0.0;
+        // Draw every sample first — the RNG stream is sequential — then
+        // infer them split across the dense EM's helper threads.
+        let mut samples: Vec<(TagId, Vec<RawReading>)> = Vec::new();
         for sample in 0..self.samples.max(1) {
             let object = TagId::item(1_000_000 + sample as u64);
             let real = TagId::case(1_000_000);
@@ -253,17 +267,30 @@ impl ThresholdCalibrator {
                     }
                 }
             }
-            if readings.is_empty() {
-                continue;
-            }
-            let obs = Observations::from_batch(&ReadingBatch::from_readings(readings));
-            let outcome = RfInfer::new(model, &obs).run();
-            if let Some(evidence) = outcome.objects.get(&object) {
-                if let Some(stat) = change_statistic(evidence) {
-                    worst = worst.max(stat.delta);
-                }
+            if !readings.is_empty() {
+                samples.push((object, readings));
             }
         }
+        let helpers = split::helpers_for(samples.iter().map(|(_, r)| r.len()).sum());
+        let ranges = split::ranges(samples.iter().map(|(_, r)| r.len()), helpers + 1);
+        let mut deltas: Vec<Vec<f64>> = ranges.iter().map(|_| Vec::new()).collect();
+        let mut samples = samples.into_iter();
+        let chunks = ranges
+            .iter()
+            .zip(deltas.iter_mut())
+            .map(|(range, out)| (samples.by_ref().take(range.len()).collect::<Vec<_>>(), out))
+            .collect();
+        split::drain(&mut vec![(); helpers + 1], chunks, |_, (chunk, out)| {
+            for (object, readings) in chunk {
+                let obs = Observations::from_batch(&ReadingBatch::from_readings(readings));
+                let outcome = RfInfer::new(model, &obs).run();
+                if let Some(stat) = outcome.objects.get(&object).and_then(change_statistic) {
+                    out.push(stat.delta);
+                }
+            }
+        });
+        // The maximum folds in sample order, as a single thread would.
+        let worst = deltas.concat().into_iter().fold(0.0f64, f64::max);
         (worst * self.margin).max(1e-3)
     }
 }
@@ -396,5 +423,16 @@ mod tests {
         let a = ThresholdCalibrator::default().calibrate(&m, &mut ChaCha8Rng::seed_from_u64(9));
         let b = ThresholdCalibrator::default().calibrate(&m, &mut ChaCha8Rng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn split_calibration_matches_single_thread_bitwise() {
+        let m = model(3);
+        let calibrate = |helpers| {
+            crate::dense::with_forced_helpers(helpers, || {
+                ThresholdCalibrator::default().calibrate(&m, &mut ChaCha8Rng::seed_from_u64(9))
+            })
+        };
+        assert_eq!(calibrate(0).to_bits(), calibrate(1).to_bits());
     }
 }

@@ -122,14 +122,6 @@ impl InferenceConfig {
         self
     }
 
-    /// Opt into the reassociating `fast_math` kernels (multi-accumulator
-    /// sums/dots). **Not** bit-identical to the reference summation order;
-    /// off by default and excluded from the equivalence guarantees.
-    pub fn with_fast_math(mut self, on: bool) -> Self {
-        self.rfinfer.fast_math = on;
-        self
-    }
-
     /// Use a fixed change-point threshold.
     pub fn with_fixed_threshold(mut self, delta: f64) -> Self {
         self.change_detection = Some(ChangeDetectionConfig {

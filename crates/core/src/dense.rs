@@ -35,28 +35,44 @@
 //! results are **bit-identical** to the tree solver's, pinned by the
 //! `dense_solver_matches_tree_reference` proptest and the distributed
 //! determinism suite.
+//!
+//! The costliest phases of a run — the co-location join of candidate
+//! pruning, the needed-epoch dedup, the E-step, the M-step and the outcome
+//! build — run over a queue of contiguous chunks that the calling thread and
+//! any helper threads drain (see the `split` module). Each chunk writes only
+//! its own slots, objects or count matrix, in the single-thread operation
+//! order; the M-step's writes into shared variants are deferred to an
+//! in-order pass after the drain. No float value crosses threads, so the
+//! result is bit-identical for every helper count.
 
 pub mod kernels;
+pub(crate) mod split;
 
-use crate::likelihood::ReaderSetTable;
+pub use split::share_cores;
+#[doc(hidden)]
+pub use split::with_forced_helpers;
+
+use crate::likelihood::{LikelihoodModel, ReaderSetTable};
 use crate::observations::{ObsAt, Observations};
 use crate::posterior::{
     container_posterior_row_into, container_posterior_row_into_vector, expect_row_of, Posterior,
 };
 use crate::rfinfer::{
     CachedVariant, DirtySet, EvidenceCache, InferenceOutcome, InferenceStats, ObjectEvidence,
-    PrevSeries, RfInfer, MAX_CACHED_VARIANTS,
+    PrevSeries, RfInfer, RfInferConfig, MAX_CACHED_VARIANTS,
 };
 use rfid_types::{ContainmentMap, Epoch, LocationId, TagId};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Sentinel for "no index" in dense `u32` columns.
 const NONE_IDX: u32 = u32::MAX;
 
-// TEMPORARY profiling section counters (nanos).
-
 /// One point-evidence series: `(epoch, e_co)` in epoch order.
 type Series = Vec<(Epoch, f64)>;
+
+/// MAP location estimates of one tag: `(epoch, location)` in epoch order.
+type Locations = Vec<(Epoch, LocationId)>;
 
 /// Series keyed by interned object index, ascending; `Option` so the
 /// whole-series fast path can move one out without shifting the column.
@@ -123,17 +139,10 @@ pub struct DenseScratch {
     member_start: Vec<u32>,
     /// Per-slot fill cursors for the counting sorts.
     slot_fill: Vec<u32>,
-    /// Per-member observation cursors of the current container walk.
-    cursors: Vec<u32>,
-    /// Sorted invalid epochs of the current container (dirty union).
-    invalid: Vec<Epoch>,
     /// Vector-path scratch: one probability row, reused by every in-place
     /// normalization that only needs the MAP location (no `Posterior`
     /// allocation per epoch).
     row_scratch: Vec<f64>,
-    /// Vector-path scratch: gathered weights of one argmax scan, in
-    /// ascending-container (`cand_sorted`) order.
-    argmax_buf: Vec<f64>,
     /// Vector-path scratch: per-reader-set location bitmask (bit `r` set
     /// when reader `r` fired). Exact only when every reader id fits the
     /// mask width; see `set_mask_exact`.
@@ -141,23 +150,76 @@ pub struct DenseScratch {
     /// Whether the matching `set_masks` entry covers every reader of the
     /// set (readers with ids ≥ 128 fall back to a list intersection).
     set_mask_exact: Vec<bool>,
-    /// Vector-path scratch: container observation events `(epoch,
-    /// all-containers position, reader-set id)`, epoch-sorted.
-    colo_cont_events: Vec<(Epoch, u32, u32)>,
-    /// Vector-path scratch: object observation events `(epoch, object
-    /// position, reader-set id)`, epoch-sorted.
-    colo_obj_events: Vec<(Epoch, u32, u32)>,
     /// Vector-path scratch: object × container co-location count matrix,
     /// row-major by object position.
     colo_matrix: Vec<u32>,
+    /// Per-thread scratch of the split phases: the calling thread's first,
+    /// then one per helper.
+    threads: Vec<ThreadScratch>,
+}
+
+/// The scratch one thread of a split phase owns: its share of the phase's
+/// integer counters, its walk cursors and lane buffers, and its co-location
+/// events and count matrix.
+#[derive(Debug, Default)]
+struct ThreadScratch {
+    /// Counters of the chunks this thread ran, summed into the run's
+    /// counters after the phase.
+    stats: InferenceStats,
+    /// Per-member observation cursors of the current container walk.
+    cursors: Vec<u32>,
+    /// Sorted invalid epochs of the current container (dirty union).
+    invalid: Vec<Epoch>,
+    /// Vector-path scratch: gathered weights of one argmax scan, in
+    /// ascending-container (`cand_sorted`) order.
+    argmax_buf: Vec<f64>,
     /// Vector-path scratch: lane indices computing a dot product at the
-    /// current epoch of one transposed M-step walk.
+    /// current epoch of one transposed walk.
     active: Vec<u32>,
+    /// Lanes of the transposed M-step walk, reused across objects.
+    walkers: Vec<MWalker>,
+    /// Container observation events `(epoch, all-containers position,
+    /// reader-set id)` of this thread's epoch ranges, epoch-sorted.
+    colo_cont_events: Vec<(Epoch, u32, u32)>,
+    /// Object observation events `(epoch, object position, reader-set id)`
+    /// of this thread's epoch ranges, epoch-sorted.
+    colo_obj_events: Vec<(Epoch, u32, u32)>,
+    /// This thread's object × container co-location counts.
+    colo_matrix: Vec<u32>,
     /// Vector-path scratch: epoch-presence bitset of one slot's needed-epoch
     /// dedup, indexed by epoch offset from the run's earliest epoch.
     seen: Vec<u64>,
     /// Vector-path scratch: the distinct epochs of one slot, pre-sort.
     uniq: Vec<Epoch>,
+}
+
+/// The per-thread scratch of a phase with `helpers` helpers, growing the
+/// pool on first use.
+fn thread_states(pool: &mut Vec<ThreadScratch>, helpers: usize) -> &mut [ThreadScratch] {
+    if pool.len() <= helpers {
+        pool.resize_with(helpers + 1, ThreadScratch::default);
+    }
+    &mut pool[..=helpers]
+}
+
+/// Sum the threads' phase counters into `stats`, resetting them.
+fn gather_stats(stats: &mut InferenceStats, threads: &mut [ThreadScratch]) {
+    for ts in threads {
+        stats.absorb(&std::mem::take(&mut ts.stats));
+    }
+}
+
+/// Cut `slice` into consecutive mutable pieces, one per range of `ranges`
+/// (which tile `0..slice.len()` in order).
+fn split_by<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
+    ranges
+        .iter()
+        .map(|r| {
+            let (head, tail) = std::mem::take(&mut slice).split_at_mut(r.len());
+            slice = tail;
+            head
+        })
+        .collect()
 }
 
 /// A previous run's cached variant, re-interned into this run's indices.
@@ -188,14 +250,25 @@ struct DVariant {
     evidence: Vec<(u32, Series)>,
 }
 
+/// A series the M-step's read-only pass leaves for the in-order write pass:
+/// push it onto `slot`'s variant for `object`.
+struct EvidencePush {
+    slot: u32,
+    object: u32,
+    /// The series derived this iteration; `None` moves the previous run's
+    /// series for `object` out of the variant's cache instead.
+    series: Option<Series>,
+}
+
 /// One lane of the transposed M-step walk: the per-candidate cursors and the
 /// accumulating weight for a candidate whose evidence series must be derived
 /// (or partially reused) against its variant's per-epoch posteriors. The
 /// variant itself stays in `current`, borrowed shared for the duration of the
 /// walk; lanes only carry indices and owned state.
+#[derive(Debug)]
 struct MWalker {
-    /// Flat index of this (object, candidate) pair in the weight arena.
-    flat: u32,
+    /// Position of this candidate within its object's candidate range.
+    off: u32,
     /// Slot of the candidate's variant in `current`.
     slot: u32,
     /// Accumulating co-location weight (prior already added).
@@ -221,6 +294,91 @@ type MLaneRefs<'v> = (
     &'v [Epoch],
     Option<&'v [(Epoch, f64)]>,
 );
+
+/// The columns a split phase reads, borrowed shared so a phase body can run
+/// on any thread. Built after the iteration's member count, so it sees the
+/// same member arena as every other phase of the iteration.
+struct Cols<'r> {
+    model: &'r LikelihoodModel,
+    config: &'r RfInferConfig,
+    nl: usize,
+    dirty: Option<&'r DirtySet>,
+    obs_of: &'r [&'r [ObsAt]],
+    tags: &'r [TagId],
+    set_ids: &'r [u32],
+    set_start: &'r [u32],
+    table: &'r ReaderSetTable,
+    objects: &'r [u32],
+    rel: &'r [u32],
+    slot_of: &'r [u32],
+    cand_arena: &'r [u32],
+    cand_start: &'r [u32],
+    cand_sorted: &'r [u32],
+    prior_w: &'r [f64],
+    epochs_arena: &'r [Epoch],
+    epochs_start: &'r [u32],
+    epochs_len: &'r [u32],
+    member_arena: &'r [u32],
+    member_start: &'r [u32],
+}
+
+impl<'r> Cols<'r> {
+    fn of(
+        s: &'r DenseScratch,
+        rf: &'r RfInfer<'_>,
+        dirty: Option<&'r DirtySet>,
+        obs_of: &'r [&'r [ObsAt]],
+    ) -> Cols<'r> {
+        Cols {
+            model: rf.model,
+            config: &rf.config,
+            nl: rf.model.num_locations(),
+            dirty,
+            obs_of,
+            tags: &s.tags,
+            set_ids: &s.set_ids,
+            set_start: &s.set_start,
+            table: &s.table,
+            objects: &s.objects,
+            rel: &s.rel,
+            slot_of: &s.slot_of,
+            cand_arena: &s.cand_arena,
+            cand_start: &s.cand_start,
+            cand_sorted: &s.cand_sorted,
+            prior_w: &s.prior_w,
+            epochs_arena: &s.epochs_arena,
+            epochs_start: &s.epochs_start,
+            epochs_len: &s.epochs_len,
+            member_arena: &s.member_arena,
+            member_start: &s.member_start,
+        }
+    }
+
+    fn incremental(&self) -> bool {
+        self.dirty.is_some()
+    }
+
+    /// Reader-set ids of one tag's observations.
+    fn sets_of(&self, tag: u32) -> &'r [u32] {
+        &self.set_ids
+            [self.set_start[tag as usize] as usize..self.set_start[tag as usize + 1] as usize]
+    }
+
+    /// Current members of one relevant-container slot.
+    fn members(&self, slot: usize) -> &'r [u32] {
+        &self.member_arena[self.member_start[slot] as usize..self.member_start[slot + 1] as usize]
+    }
+
+    /// Flat candidate range of object position `k`.
+    fn cands(&self, k: usize) -> Range<usize> {
+        self.cand_start[k] as usize..self.cand_start[k + 1] as usize
+    }
+
+    /// Evidence dots an M-step or outcome pass over object `k` may evaluate.
+    fn object_cost(&self, k: usize) -> usize {
+        self.obs_of[self.objects[k] as usize].len() * self.cands(k).len()
+    }
+}
 
 /// Multiplicative word hasher for the run-scoped reader-set interner (the
 /// fx-hash recipe: rotate, xor, multiply by a golden-ratio-derived odd
@@ -350,15 +508,15 @@ fn count_members(
 
 /// Argmax over one object's weight row, iterating candidates in ascending
 /// container order with later ties winning — the reference's `BTreeMap`
-/// iteration + `max_by` semantics. `range` is the object's flat candidate
-/// range; returns the winning container index.
-fn argmax_weight(s: &DenseScratch, range: std::ops::Range<usize>) -> u32 {
+/// iteration + `max_by` semantics. `sorted`, `cands` and `weights` are the
+/// object's slices of `cand_sorted`, `cand_arena` and the weight arena;
+/// returns the winning container index.
+fn argmax_weight(sorted: &[u32], cands: &[u32], weights: &[f64]) -> u32 {
     let mut best: Option<(u32, f64)> = None;
-    for &p in &s.cand_sorted[range.clone()] {
-        let flat = range.start + p as usize;
-        let w = s.weights[flat];
+    for &p in sorted {
+        let w = weights[p as usize];
         if best.is_none_or(|(_, bw)| w >= bw) {
-            best = Some((s.cand_arena[flat], w));
+            best = Some((cands[p as usize], w));
         }
     }
     best.map(|(ci, _)| ci).unwrap_or(NONE_IDX)
@@ -368,21 +526,11 @@ fn argmax_weight(s: &DenseScratch, range: std::ops::Range<usize>) -> u32 {
 /// order into a reusable buffer and scan them with the chunked
 /// [`kernels::argmax_ties_last`] — same iteration order, same `>=`
 /// later-ties-win rule, so the winner is identical for every input.
-fn argmax_weight_vector(
-    cand_sorted: &[u32],
-    cand_arena: &[u32],
-    weights: &[f64],
-    range: std::ops::Range<usize>,
-    buf: &mut Vec<f64>,
-) -> u32 {
+fn argmax_weight_vector(sorted: &[u32], cands: &[u32], weights: &[f64], buf: &mut Vec<f64>) -> u32 {
     buf.clear();
-    buf.extend(
-        cand_sorted[range.clone()]
-            .iter()
-            .map(|&p| weights[range.start + p as usize]),
-    );
+    buf.extend(sorted.iter().map(|&p| weights[p as usize]));
     kernels::argmax_ties_last(buf)
-        .map(|i| cand_arena[range.start + cand_sorted[range.start + i] as usize])
+        .map(|i| cands[sorted[i] as usize])
         .unwrap_or(NONE_IDX)
 }
 
@@ -395,6 +543,10 @@ fn argmax_weight_vector(
 /// (`any shared reader` ⇔ `mask ∩ mask ≠ ∅` — exact whenever reader ids fit
 /// the mask, with a list-intersection fallback when they don't), so the
 /// resulting counts equal the scalar `colocated_epochs` counts exactly.
+///
+/// The join splits by epoch range: each thread counts the ranges it takes
+/// into its own `u32` matrix, and the matrices are summed afterwards —
+/// integer addition, so the counts are the same for every split.
 ///
 /// Fills `s.colo_matrix` row-major by object position over
 /// `s.all_containers` columns.
@@ -420,67 +572,96 @@ fn fill_colocation_matrix(
         s.set_mask_exact.push(exact);
     }
 
-    // Epoch-sorted event lists, containers and objects separately.
-    s.colo_cont_events.clear();
-    for (cpos, &ci) in s.all_containers.iter().enumerate() {
-        let base = s.set_start[ci as usize];
-        for (off, obs_at) in obs_of[ci as usize].iter().enumerate() {
-            s.colo_cont_events.push((
-                obs_at.epoch,
-                cpos as u32,
-                s.set_ids[(base + off as u32) as usize],
-            ));
+    // The epoch span and size of the join.
+    let (mut lo, mut hi, mut events) = (u32::MAX, 0u32, 0usize);
+    for &t in s.all_containers.iter().chain(&s.objects) {
+        let list = obs_of[t as usize];
+        if let (Some(first), Some(last)) = (list.first(), list.last()) {
+            lo = lo.min(first.epoch.0);
+            hi = hi.max(last.epoch.0);
+            events += list.len();
         }
     }
-    s.colo_cont_events.sort_unstable_by_key(|e| e.0);
-    s.colo_obj_events.clear();
-    for (kpos, &oi) in s.objects.iter().enumerate() {
-        let base = s.set_start[oi as usize];
-        for (off, obs_at) in obs_of[oi as usize].iter().enumerate() {
-            s.colo_obj_events.push((
-                obs_at.epoch,
-                kpos as u32,
-                s.set_ids[(base + off as u32) as usize],
-            ));
-        }
-    }
-    s.colo_obj_events.sort_unstable_by_key(|e| e.0);
-
-    // Lockstep walk over shared epochs; each co-located (object, container)
-    // event pair bumps one matrix cell.
     let nc = s.all_containers.len();
-    s.colo_matrix.clear();
-    s.colo_matrix.resize(s.objects.len() * nc, 0);
-    let overlap = |oset: u32, cset: u32| -> bool {
-        if s.set_mask_exact[oset as usize] && s.set_mask_exact[cset as usize] {
-            s.set_masks[oset as usize] & s.set_masks[cset as usize] != 0
-        } else {
-            set_readers[oset as usize]
-                .iter()
-                .any(|r| set_readers[cset as usize].contains(r))
-        }
+    let size = s.objects.len() * nc;
+    let helpers = if events == 0 {
+        0
+    } else {
+        split::helpers_for(events)
     };
-    let (objs, conts) = (&s.colo_obj_events, &s.colo_cont_events);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < objs.len() && j < conts.len() {
-        let t = objs[i].0;
-        match t.cmp(&conts[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let i_end = i + objs[i..].iter().take_while(|e| e.0 == t).count();
-                let j_end = j + conts[j..].iter().take_while(|e| e.0 == t).count();
-                for &(_, kpos, oset) in &objs[i..i_end] {
-                    let row = kpos as usize * nc;
-                    for &(_, cpos, cset) in &conts[j..j_end] {
-                        if overlap(oset, cset) {
-                            s.colo_matrix[row + cpos as usize] += 1;
+    let threads = thread_states(&mut s.threads, helpers);
+    for ts in threads.iter_mut() {
+        ts.colo_matrix.clear();
+        ts.colo_matrix.resize(size, 0);
+    }
+    if events > 0 {
+        let span = (hi - lo) as usize + 1;
+        let chunks: Vec<Range<u32>> = split::ranges(std::iter::repeat_n(1, span), helpers + 1)
+            .into_iter()
+            .map(|r| lo + r.start as u32..lo + r.end as u32)
+            .collect();
+        let (containers, objects) = (&s.all_containers, &s.objects);
+        let (set_ids, set_start) = (&s.set_ids, &s.set_start);
+        let (masks, exact) = (&s.set_masks, &s.set_mask_exact);
+        let overlap = |oset: u32, cset: u32| -> bool {
+            if exact[oset as usize] && exact[cset as usize] {
+                masks[oset as usize] & masks[cset as usize] != 0
+            } else {
+                set_readers[oset as usize]
+                    .iter()
+                    .any(|r| set_readers[cset as usize].contains(r))
+            }
+        };
+        // The events of `tags` inside one epoch range: `(epoch, position in
+        // tags, reader-set id)`, epoch-sorted.
+        let collect = |out: &mut Vec<(Epoch, u32, u32)>, tags: &[u32], epochs: &Range<u32>| {
+            out.clear();
+            for (pos, &t) in tags.iter().enumerate() {
+                let list = obs_of[t as usize];
+                let from = list.partition_point(|o| o.epoch.0 < epochs.start);
+                let to = list.partition_point(|o| o.epoch.0 < epochs.end);
+                let base = set_start[t as usize] as usize;
+                for off in from..to {
+                    out.push((list[off].epoch, pos as u32, set_ids[base + off]));
+                }
+            }
+            out.sort_unstable_by_key(|e| e.0);
+        };
+        split::drain(threads, chunks, |ts: &mut ThreadScratch, epochs| {
+            collect(&mut ts.colo_cont_events, containers, &epochs);
+            collect(&mut ts.colo_obj_events, objects, &epochs);
+            // Lockstep walk over shared epochs; each co-located (object,
+            // container) event pair bumps one matrix cell.
+            let (objs, conts) = (&ts.colo_obj_events, &ts.colo_cont_events);
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < objs.len() && j < conts.len() {
+                let t = objs[i].0;
+                match t.cmp(&conts[j].0) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        let i_end = i + objs[i..].iter().take_while(|e| e.0 == t).count();
+                        let j_end = j + conts[j..].iter().take_while(|e| e.0 == t).count();
+                        for &(_, kpos, oset) in &objs[i..i_end] {
+                            let row = kpos as usize * nc;
+                            for &(_, cpos, cset) in &conts[j..j_end] {
+                                if overlap(oset, cset) {
+                                    ts.colo_matrix[row + cpos as usize] += 1;
+                                }
+                            }
                         }
+                        i = i_end;
+                        j = j_end;
                     }
                 }
-                i = i_end;
-                j = j_end;
             }
+        });
+    }
+    let (first, rest) = threads.split_first_mut().expect("calling thread's scratch");
+    std::mem::swap(&mut s.colo_matrix, &mut first.colo_matrix);
+    for ts in rest {
+        for (sum, &count) in s.colo_matrix.iter_mut().zip(&ts.colo_matrix) {
+            *sum += count;
         }
     }
 }
@@ -537,7 +718,6 @@ pub(crate) fn run_dense(
     scratch: &mut DenseScratch,
 ) -> (InferenceOutcome, InferenceStats) {
     let model = rf.model;
-    let nl = model.num_locations();
     let obs = rf.obs;
     let prior = rf.prior;
     let config = &rf.config;
@@ -550,7 +730,6 @@ pub(crate) fn run_dense(
         dirty = Some(*d);
         stats.dirty_tags = d.num_tags();
     }
-    let incremental = dirty.is_some();
 
     let s = &mut *scratch;
 
@@ -791,43 +970,55 @@ pub(crate) fn run_dense(
             s.slot_fill[slot] += list.len() as u32;
         }
     }
-    s.epochs_len.clear();
     // Epoch span of the run, for the bitset dedup (the arena holds every
     // observed epoch, so min/max bound every slot's segment).
-    let dedup_base = if config.vector_kernels {
+    let dedup = if config.vector_kernels {
         let base = s.epochs_arena.iter().copied().min().unwrap_or(Epoch(0));
         let max = s.epochs_arena.iter().copied().max().unwrap_or(base);
         let span = max.since(base) as usize + 1;
         // Epoch spans are bounded by the retained history; fall back to the
         // plain sort if a pathological store says otherwise.
-        if span <= (1 << 24) {
-            s.seen.clear();
-            s.seen.resize(span.div_ceil(64), 0);
-            Some(base)
-        } else {
-            None
-        }
+        (span <= (1 << 24)).then_some((base, span.div_ceil(64)))
     } else {
         None
     };
-    for slot in 0..num_rel {
-        let start = s.epochs_start[slot] as usize;
-        let end = if slot + 1 < num_rel {
-            s.epochs_start[slot + 1] as usize
-        } else {
-            s.epochs_arena.len()
-        };
-        let len = match dedup_base {
-            Some(base) => sort_dedup_bitmap(
-                &mut s.epochs_arena[start..end],
-                base,
-                &mut s.seen,
-                &mut s.uniq,
-            ),
-            None => sort_dedup(&mut s.epochs_arena[start..end]),
-        };
-        s.epochs_len.push(len as u32);
+    // Per-slot dedup, split by slot: each slot's segment is its own.
+    let helpers = split::helpers_for(s.epochs_arena.len());
+    let threads = thread_states(&mut s.threads, helpers);
+    if let Some((_, words)) = dedup {
+        for ts in threads.iter_mut() {
+            ts.seen.clear();
+            ts.seen.resize(words, 0);
+        }
     }
+    let (arena_len, epochs_start) = (s.epochs_arena.len(), &s.epochs_start);
+    let offset = |slot: usize| epochs_start.get(slot).map_or(arena_len, |&e| e as usize);
+    let ranges = split::ranges(
+        (0..num_rel).map(|slot| offset(slot + 1) - offset(slot)),
+        helpers + 1,
+    );
+    let arena_ranges: Vec<Range<usize>> = ranges
+        .iter()
+        .map(|r| offset(r.start)..offset(r.end))
+        .collect();
+    s.epochs_len.clear();
+    s.epochs_len.resize(num_rel, 0);
+    let chunks: Vec<_> = ranges
+        .iter()
+        .cloned()
+        .zip(split_by(&mut s.epochs_arena, &arena_ranges))
+        .zip(split_by(&mut s.epochs_len, &ranges))
+        .collect();
+    split::drain(threads, chunks, |ts, ((slots, arena), lens)| {
+        let base = offset(slots.start);
+        for (i, slot) in slots.enumerate() {
+            let segment = &mut arena[offset(slot) - base..offset(slot + 1) - base];
+            lens[i] = match dedup {
+                Some((epoch0, _)) => sort_dedup_bitmap(segment, epoch0, &mut ts.seen, &mut ts.uniq),
+                None => sort_dedup(segment),
+            } as u32;
+        }
+    });
 
     // ---- Re-intern the previous run's cache --------------------------
     // Containers or members that left the universe can never match or be
@@ -872,15 +1063,18 @@ pub(crate) fn run_dense(
     }
 
     // ---- EM loop ------------------------------------------------------
+    // The M-step's output columns and the thread pool leave the scratch for
+    // the loop, so the phases can split them mutably while `Cols` borrows
+    // the rest of it shared.
     s.weights.clear();
     s.weights.resize(s.cand_arena.len(), 0.0);
+    let mut weights = std::mem::take(&mut s.weights);
+    let mut new_assign = std::mem::take(&mut s.new_assign);
+    let mut pool = std::mem::take(&mut s.threads);
     let mut current: Vec<Option<DVariant>> = Vec::with_capacity(num_rel);
     current.resize_with(num_rel, || None);
     let mut retired: Vec<Vec<DVariant>> = Vec::with_capacity(num_rel);
     retired.resize_with(num_rel, Vec::new);
-    let mut member_rows: Vec<&[f64]> = Vec::new();
-    // Lanes of the transposed M-step walk, reused across objects.
-    let mut walkers: Vec<MWalker> = Vec::new();
     let mut iterations = 0;
     for iter in 0..config.max_iterations.max(1) {
         iterations = iter + 1;
@@ -895,510 +1089,98 @@ pub(crate) fn run_dense(
             &mut s.member_arena,
             num_rel,
         );
+        let c = Cols::of(s, rf, dirty, &obs_of);
 
-        // E-step (Eq. 4) over every relevant container.
-        for slot in 0..num_rel {
-            let ci = s.rel[slot];
-            let members =
-                &s.member_arena[s.member_start[slot] as usize..s.member_start[slot + 1] as usize];
-            if let Some(variant) = &current[slot] {
-                if config.memoization && variant.members == members {
-                    continue;
-                }
+        // E-step (Eq. 4) over every relevant container, split by slot.
+        let costs: Vec<usize> = (0..num_rel)
+            .map(|slot| estep_cost(&c, slot, current[slot].as_ref()))
+            .collect();
+        let helpers = split::helpers_for(costs.iter().sum());
+        let threads = thread_states(&mut pool, helpers);
+        let ranges = split::ranges(costs.into_iter(), helpers + 1);
+        let chunks: Vec<_> = ranges
+            .iter()
+            .map(|r| r.start)
+            .zip(split_by(&mut current, &ranges))
+            .zip(split_by(&mut retired, &ranges))
+            .zip(split_by(&mut prev_slots, &ranges))
+            .collect();
+        split::drain(threads, chunks, |ts, (((start, cur), ret), prev)| {
+            let mut member_rows = Vec::new();
+            for i in 0..cur.len() {
+                estep_slot(
+                    &c,
+                    iter,
+                    start + i,
+                    &mut cur[i],
+                    &mut ret[i],
+                    &mut prev[i],
+                    ts,
+                    &mut member_rows,
+                );
             }
-            if let Some(old) = current[slot].take() {
-                retired[slot].push(old);
+        });
+        gather_stats(&mut stats, threads);
+
+        // M-step (Eq. 5): weight rows and the new assignment, split by
+        // object. The split pass only reads the variants; the series it
+        // derives are pushed onto them afterwards, in ascending object
+        // order.
+        let helpers = split::helpers_for((0..num_objects).map(|k| c.object_cost(k)).sum());
+        let threads = thread_states(&mut pool, helpers);
+        let ranges = split::ranges((0..num_objects).map(|k| c.object_cost(k)), helpers + 1);
+        let flat_ranges: Vec<Range<usize>> = ranges
+            .iter()
+            .map(|r| c.cand_start[r.start] as usize..c.cand_start[r.end] as usize)
+            .collect();
+        let mut pushes: Vec<Vec<EvidencePush>> = ranges.iter().map(|_| Vec::new()).collect();
+        let chunks: Vec<_> = ranges
+            .iter()
+            .cloned()
+            .zip(split_by(&mut weights, &flat_ranges))
+            .zip(split_by(&mut new_assign, &ranges))
+            .zip(pushes.iter_mut())
+            .collect();
+        let variants = &current;
+        split::drain(threads, chunks, |ts, (((objects, w), assign), out)| {
+            let base = c.cand_start[objects.start] as usize;
+            for (i, k) in objects.enumerate() {
+                let range = c.cands(k);
+                let w = &mut w[range.start - base..range.end - base];
+                assign[i] = mstep_object(&c, variants, iter, k, w, out, ts);
             }
-            // Cross-run reuse: match the previous run's variant with the
-            // same member set (consumed on match, like the reference).
-            let matched = prev_slots[slot]
-                .iter()
-                .position(|v| v.members == members)
-                .map(|i| prev_slots[slot].swap_remove(i));
-            let (prev_epochs, prev_qrows, prev_evidence) = match matched {
-                Some(v) => (v.epochs, v.qrows, v.evidence),
-                None => (Vec::new(), Vec::new(), Vec::new()),
+        });
+        gather_stats(&mut stats, threads);
+        for push in pushes.into_iter().flatten() {
+            let v = current[push.slot as usize]
+                .as_mut()
+                .expect("evidence for a live variant");
+            let series = match push.series {
+                Some(series) => series,
+                None => take_prev_series(&mut v.prev_evidence, push.object)
+                    .expect("moved series present"),
             };
-            // Dirty union over the container and its members, clamped to
-            // the cached horizon.
-            s.invalid.clear();
-            if let Some(d) = dirty {
-                if !prev_epochs.is_empty() {
-                    let union = d.union_for_until(
-                        std::iter::once(s.tags[ci as usize])
-                            .chain(members.iter().map(|&m| s.tags[m as usize])),
-                        prev_epochs.last().copied(),
-                    );
-                    s.invalid.extend(union);
-                }
-            }
-            let needed_range =
-                s.epochs_start[slot] as usize..(s.epochs_start[slot] + s.epochs_len[slot]) as usize;
-            let needed = &s.epochs_arena[needed_range];
-            // Whole-variant fast path, same condition as the reference.
-            let fully_reused = !prev_epochs.is_empty()
-                && prev_epochs.as_slice() == needed
-                && s.invalid
-                    .iter()
-                    .all(|t| prev_epochs.binary_search(t).is_err());
-            if fully_reused {
-                stats.posteriors_reused += prev_epochs.len();
-                let reused = prev_epochs.clone();
-                current[slot] = Some(DVariant {
-                    members: members.to_vec(),
-                    updated_iter: iter,
-                    epochs: prev_epochs,
-                    qrows: prev_qrows,
-                    reused,
-                    fully_reused: true,
-                    prev_evidence,
-                    evidence: Vec::new(),
-                });
-                continue;
-            }
-            // Per-epoch path: walk the sorted needed epochs in lockstep
-            // with the previous variant, the invalid set and every
-            // involved tag's observation list (one cursor each — no
-            // binary search per epoch).
-            let mut epochs_vec: Vec<Epoch> = Vec::with_capacity(needed.len());
-            let mut qrows: Vec<f64> = Vec::with_capacity(needed.len() * nl);
-            let mut reused_vec: Vec<Epoch> = Vec::new();
-            let mut prev_cur = 0usize;
-            let mut invalid_cur = 0usize;
-            let own = obs_of[ci as usize];
-            let own_sets = &s.set_ids
-                [s.set_start[ci as usize] as usize..s.set_start[ci as usize + 1] as usize];
-            let mut own_cur = 0usize;
-            s.cursors.clear();
-            s.cursors.resize(members.len(), 0);
-            for &t in needed {
-                while prev_cur < prev_epochs.len() && prev_epochs[prev_cur] < t {
-                    prev_cur += 1;
-                }
-                while invalid_cur < s.invalid.len() && s.invalid[invalid_cur] < t {
-                    invalid_cur += 1;
-                }
-                let hit =
-                    s.invalid.get(invalid_cur) != Some(&t) && prev_epochs.get(prev_cur) == Some(&t);
-                if hit {
-                    // The cached row's bits move into the new arena verbatim.
-                    stats.posteriors_reused += 1;
-                    reused_vec.push(t);
-                    qrows.extend_from_slice(&prev_qrows[prev_cur * nl..(prev_cur + 1) * nl]);
-                } else {
-                    stats.posteriors_computed += 1;
-                    while own_cur < own.len() && own[own_cur].epoch < t {
-                        own_cur += 1;
-                    }
-                    let base_row = if own_cur < own.len() && own[own_cur].epoch == t {
-                        s.table.row(own_sets[own_cur])
-                    } else {
-                        model.all_miss_row()
-                    };
-                    member_rows.clear();
-                    for (mi, &m) in members.iter().enumerate() {
-                        let list = obs_of[m as usize];
-                        let mut cur = s.cursors[mi] as usize;
-                        while cur < list.len() && list[cur].epoch < t {
-                            cur += 1;
-                        }
-                        s.cursors[mi] = cur as u32;
-                        member_rows.push(if cur < list.len() && list[cur].epoch == t {
-                            s.table
-                                .row(s.set_ids[s.set_start[m as usize] as usize + cur])
-                        } else {
-                            model.all_miss_row()
-                        });
-                    }
-                    // The posterior normalizes directly onto the arena tail —
-                    // no per-posterior allocation.
-                    if config.vector_kernels {
-                        container_posterior_row_into_vector(
-                            base_row,
-                            member_rows.iter().copied(),
-                            &mut qrows,
-                        );
-                    } else {
-                        container_posterior_row_into(
-                            base_row,
-                            member_rows.iter().copied(),
-                            &mut qrows,
-                        );
-                    }
-                }
-                epochs_vec.push(t);
-            }
-            current[slot] = Some(DVariant {
-                members: members.to_vec(),
-                updated_iter: iter,
-                epochs: epochs_vec,
-                qrows,
-                reused: reused_vec,
-                fully_reused: false,
-                prev_evidence,
-                evidence: Vec::new(),
-            });
+            debug_assert!(
+                v.evidence.last().is_none_or(|e| e.0 < push.object),
+                "evidence pushed out of object order"
+            );
+            v.evidence.push((push.object, series));
         }
 
-        // M-step (Eq. 5): weight rows and the new assignment.
-        for k in 0..num_objects {
-            let oi = s.objects[k];
-            let range = s.cand_start[k] as usize..s.cand_start[k + 1] as usize;
-            if range.is_empty() {
-                s.new_assign[k] = NONE_IDX;
-                continue;
-            }
-            // Stable-object fast path: every candidate variant untouched
-            // this iteration ⇒ last iteration's weight row is
-            // bit-identical; re-derive only the argmax, in ascending
-            // container order.
-            if incremental && iter > 0 {
-                let untouched = s.cand_arena[range.clone()].iter().all(|&ci| {
-                    current[s.slot_of[ci as usize] as usize]
-                        .as_ref()
-                        .is_none_or(|v| v.updated_iter < iter)
-                });
-                if untouched {
-                    s.new_assign[k] = if config.vector_kernels {
-                        argmax_weight_vector(
-                            &s.cand_sorted,
-                            &s.cand_arena,
-                            &s.weights,
-                            range,
-                            &mut s.argmax_buf,
-                        )
-                    } else {
-                        argmax_weight(s, range)
-                    };
-                    continue;
-                }
-            }
-            let o_dirty = dirty.and_then(|d| d.epochs_of(s.tags[oi as usize]));
-            let o_obs = obs_of[oi as usize];
-            let o_sets = &s.set_ids
-                [s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
-            if config.vector_kernels {
-                // Lane-parallel M-step (the transposed walk): classify every
-                // candidate once, then drive all candidates that need the
-                // per-epoch walk through ONE pass over the object's
-                // observations — one lane per candidate accumulator. Each
-                // lane keeps the scalar walk's exact sequence of reuse
-                // decisions, dot products and additions (prior first, then
-                // epoch order), and no value flows between lanes, so every
-                // weight is bit-identical; only the interleaving across
-                // candidates changes. The shared work — the o_obs cursor,
-                // the dirty test and the object's loglik row — is paid once
-                // per epoch instead of once per (candidate, epoch).
-                let o_clean = o_dirty.is_none_or(|d| d.is_empty());
-                debug_assert!(walkers.is_empty());
-                for flat in range.clone() {
-                    let ci = s.cand_arena[flat];
-                    let slot = s.slot_of[ci as usize] as usize;
-                    let mut w = s.prior_w[flat];
-                    if let Some(variant) = current[slot].as_mut() {
-                        if let Some(series) = find_series(&variant.evidence, oi) {
-                            // Same variant as an earlier iteration: identical
-                            // inputs, identical series and summation order.
-                            stats.evidence_reused += series.len();
-                            for &(_, e) in series {
-                                w += e;
-                            }
-                        } else {
-                            // Whole-series fast path: the variant's
-                            // posteriors all came from the cache and the
-                            // object is clean.
-                            let moved = (incremental && variant.fully_reused && o_clean)
-                                .then(|| take_prev_series(&mut variant.prev_evidence, oi))
-                                .flatten();
-                            if let Some(series) = moved {
-                                stats.evidence_reused += series.len();
-                                for &(_, e) in &series {
-                                    w += e;
-                                }
-                                debug_assert!(
-                                    variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                    "evidence pushed out of object order"
-                                );
-                                variant.evidence.push((oi, series));
-                            } else {
-                                walkers.push(MWalker {
-                                    flat: flat as u32,
-                                    slot: slot as u32,
-                                    w,
-                                    series: if incremental {
-                                        Vec::with_capacity(o_obs.len())
-                                    } else {
-                                        Vec::new()
-                                    },
-                                    q_cur: 0,
-                                    r_cur: 0,
-                                    prev_pos: 0,
-                                    done: false,
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                    s.weights[flat] = w;
-                }
-                if !walkers.is_empty() {
-                    // Bind each lane's inputs once — the posterior series,
-                    // the reuse epochs and the previous run's series are
-                    // shared borrows of `current`, so the walk reads flat
-                    // slices instead of chasing through the variant on
-                    // every epoch. (Distinct candidates name distinct
-                    // slots; the variants themselves are only mutated
-                    // after the walk, when the lanes are drained.)
-                    let lane_refs: Vec<MLaneRefs<'_>> = walkers
-                        .iter()
-                        .map(|wk| {
-                            let v = current[wk.slot as usize].as_ref().expect("walker variant");
-                            (
-                                v.epochs.as_slice(),
-                                v.qrows.as_slice(),
-                                v.reused.as_slice(),
-                                prev_series(&v.prev_evidence, oi),
-                            )
-                        })
-                        .collect();
-                    let mut rows: Vec<&[f64]> = Vec::with_capacity(walkers.len());
-                    let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
-                    for (pos, obs_at) in o_obs.iter().enumerate() {
-                        let t = obs_at.epoch;
-                        // The dirty test depends only on (object, epoch):
-                        // hoisted out of the per-candidate walks. Same
-                        // monotone cursor, same boolean per epoch.
-                        let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
-                            while it.peek().is_some_and(|dt| **dt < t) {
-                                it.next();
-                            }
-                            it.peek().is_some_and(|dt| **dt == t)
-                        });
-                        s.active.clear();
-                        rows.clear();
-                        let mut all_done = true;
-                        for (l, (wk, refs)) in walkers.iter_mut().zip(&lane_refs).enumerate() {
-                            if wk.done {
-                                continue;
-                            }
-                            let (epochs, qrows, reused, prev) = *refs;
-                            while wk.q_cur < epochs.len() && epochs[wk.q_cur] < t {
-                                wk.q_cur += 1;
-                            }
-                            if wk.q_cur >= epochs.len() {
-                                wk.done = true;
-                                continue;
-                            }
-                            all_done = false;
-                            if epochs[wk.q_cur] != t {
-                                continue;
-                            }
-                            while wk.r_cur < reused.len() && reused[wk.r_cur] < t {
-                                wk.r_cur += 1;
-                            }
-                            if reused.get(wk.r_cur) == Some(&t) && !o_dirty_here {
-                                if let Some(series) = prev {
-                                    while wk.prev_pos < series.len() && series[wk.prev_pos].0 < t {
-                                        wk.prev_pos += 1;
-                                    }
-                                    if let Some(&(pt, e)) = series.get(wk.prev_pos) {
-                                        if pt == t {
-                                            stats.evidence_reused += 1;
-                                            wk.series.push((t, e));
-                                            wk.w += e;
-                                            continue;
-                                        }
-                                    }
-                                }
-                            }
-                            stats.evidence_computed += 1;
-                            s.active.push(l as u32);
-                            rows.push(&qrows[wk.q_cur * nl..(wk.q_cur + 1) * nl]);
-                        }
-                        if all_done {
-                            break;
-                        }
-                        if s.active.is_empty() {
-                            continue;
-                        }
-                        // Point-evidence dots of every active lane against
-                        // the object's loglik row at this epoch — the row is
-                        // loaded once and shared across the lanes.
-                        let row = s.table.row(o_sets[pos]);
-                        for (chunk, qch) in s
-                            .active
-                            .chunks(kernels::LANES)
-                            .zip(rows.chunks(kernels::LANES))
-                        {
-                            let mut vals = [0.0f64; kernels::LANES];
-                            if config.fast_math {
-                                for (v, q) in vals.iter_mut().zip(qch) {
-                                    *v = kernels::dot_fast(q, row);
-                                }
-                            } else {
-                                kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
-                            }
-                            for (j, &l) in chunk.iter().enumerate() {
-                                let wk = &mut walkers[l as usize];
-                                let e = vals[j];
-                                if incremental {
-                                    wk.series.push((t, e));
-                                }
-                                wk.w += e;
-                            }
-                        }
-                    }
-                    for wk in walkers.drain(..) {
-                        if incremental {
-                            let v = current[wk.slot as usize].as_mut().expect("walker variant");
-                            debug_assert!(
-                                v.evidence.last().is_none_or(|e| e.0 < oi),
-                                "evidence pushed out of object order"
-                            );
-                            v.evidence.push((oi, wk.series));
-                        }
-                        s.weights[wk.flat as usize] = wk.w;
-                    }
-                }
-            } else {
-                for flat in range.clone() {
-                    let ci = s.cand_arena[flat];
-                    let mut w = s.prior_w[flat];
-                    if let Some(variant) = current[s.slot_of[ci as usize] as usize].as_mut() {
-                        if let Some(series) = find_series(&variant.evidence, oi) {
-                            // Same variant as an earlier iteration: identical
-                            // inputs, identical series and summation order.
-                            stats.evidence_reused += series.len();
-                            for &(_, e) in series {
-                                w += e;
-                            }
-                        } else if incremental {
-                            // Whole-series fast path: the variant's posteriors
-                            // all came from the cache and the object is clean.
-                            let o_clean = o_dirty.is_none_or(|d| d.is_empty());
-                            let moved = (variant.fully_reused && o_clean)
-                                .then(|| take_prev_series(&mut variant.prev_evidence, oi))
-                                .flatten();
-                            if let Some(series) = moved {
-                                stats.evidence_reused += series.len();
-                                for &(_, e) in &series {
-                                    w += e;
-                                }
-                                debug_assert!(
-                                    variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                    "evidence pushed out of object order"
-                                );
-                                variant.evidence.push((oi, series));
-                            } else {
-                                // Per-epoch path: lockstep walk over the
-                                // object's observations, the variant's sorted
-                                // posterior series, its reuse set, the dirty
-                                // set and the previous series.
-                                let mut prev =
-                                    PrevSeries::new(prev_series(&variant.prev_evidence, oi));
-                                let mut series = Vec::with_capacity(o_obs.len());
-                                let mut q_cur = 0usize;
-                                let mut r_cur = 0usize;
-                                let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
-                                for (pos, obs_at) in o_obs.iter().enumerate() {
-                                    let t = obs_at.epoch;
-                                    while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t
-                                    {
-                                        q_cur += 1;
-                                    }
-                                    let Some(&qt) = variant.epochs.get(q_cur) else {
-                                        break;
-                                    };
-                                    if qt != t {
-                                        continue;
-                                    }
-                                    while r_cur < variant.reused.len() && variant.reused[r_cur] < t
-                                    {
-                                        r_cur += 1;
-                                    }
-                                    let posterior_reused = variant.reused.get(r_cur) == Some(&t);
-                                    let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
-                                        while it.peek().is_some_and(|dt| **dt < t) {
-                                            it.next();
-                                        }
-                                        it.peek().is_some_and(|dt| **dt == t)
-                                    });
-                                    let reusable = posterior_reused && !o_dirty_here;
-                                    let e = match reusable.then(|| prev.lookup(t)).flatten() {
-                                        Some(e) => {
-                                            stats.evidence_reused += 1;
-                                            e
-                                        }
-                                        None => {
-                                            stats.evidence_computed += 1;
-                                            expect_row_of(
-                                                &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                                s.table.row(o_sets[pos]),
-                                            )
-                                        }
-                                    };
-                                    series.push((t, e));
-                                    w += e;
-                                }
-                                debug_assert!(
-                                    variant.evidence.last().is_none_or(|e| e.0 < oi),
-                                    "evidence pushed out of object order"
-                                );
-                                variant.evidence.push((oi, series));
-                            }
-                        } else {
-                            // Full recompute: lockstep walk, memoized rows.
-                            let mut q_cur = 0usize;
-                            for (pos, obs_at) in o_obs.iter().enumerate() {
-                                let t = obs_at.epoch;
-                                while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
-                                    q_cur += 1;
-                                }
-                                if let Some(&qt) = variant.epochs.get(q_cur) {
-                                    if qt == t {
-                                        stats.evidence_computed += 1;
-                                        w += expect_row_of(
-                                            &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                            s.table.row(o_sets[pos]),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    s.weights[flat] = w;
-                }
-            }
-            s.new_assign[k] = if config.vector_kernels {
-                argmax_weight_vector(
-                    &s.cand_sorted,
-                    &s.cand_arena,
-                    &s.weights,
-                    range,
-                    &mut s.argmax_buf,
-                )
-            } else {
-                argmax_weight(s, range)
-            };
-        }
-
-        let converged = s.new_assign == s.assign;
-        s.assign.copy_from_slice(&s.new_assign);
+        let converged = new_assign == s.assign;
+        s.assign.copy_from_slice(&new_assign);
         if converged {
             break;
         }
     }
+    s.weights = weights;
+    s.new_assign = new_assign;
 
     // ---- Run boundary: convert back to TagId-keyed results -----------
     let outcome = build_outcome(
-        rf,
-        s,
-        &obs_of,
-        &current,
-        iterations,
-        incremental,
-        &mut stats,
+        rf, s, &mut pool, &obs_of, dirty, &current, iterations, &mut stats,
     );
+    s.threads = pool;
 
     // Refill the cache: the final variant of every container first, then
     // recently retired ones (most recent first), deduplicated by member
@@ -1439,155 +1221,532 @@ pub(crate) fn run_dense(
     (outcome, stats)
 }
 
+/// Posterior rows the E-step may evaluate for `slot`: none when the
+/// memoized variant still matches the members.
+fn estep_cost(c: &Cols<'_>, slot: usize, current: Option<&DVariant>) -> usize {
+    let members = c.members(slot);
+    if c.config.memoization && current.is_some_and(|v| v.members == members) {
+        0
+    } else {
+        c.epochs_len[slot] as usize * (members.len() + 1)
+    }
+}
+
+/// E-step (Eq. 4) of one relevant-container slot: keep the memoized variant
+/// if its member set is unchanged, otherwise retire it and build this
+/// iteration's per-epoch posteriors, moving rows out of the previous run's
+/// matching variant wherever the dirty journal allows. Touches only this
+/// slot's state and the calling thread's scratch.
+#[allow(clippy::too_many_arguments)]
+fn estep_slot<'r>(
+    c: &Cols<'r>,
+    iter: usize,
+    slot: usize,
+    current: &mut Option<DVariant>,
+    retired: &mut Vec<DVariant>,
+    prev: &mut Vec<PrevVariant>,
+    ts: &mut ThreadScratch,
+    member_rows: &mut Vec<&'r [f64]>,
+) {
+    let nl = c.nl;
+    let ci = c.rel[slot];
+    let members = c.members(slot);
+    if let Some(variant) = current.as_ref() {
+        if c.config.memoization && variant.members == members {
+            return;
+        }
+    }
+    if let Some(old) = current.take() {
+        retired.push(old);
+    }
+    // Cross-run reuse: match the previous run's variant with the same member
+    // set (consumed on match, like the reference).
+    let matched = prev
+        .iter()
+        .position(|v| v.members == members)
+        .map(|i| prev.swap_remove(i));
+    let (prev_epochs, prev_qrows, prev_evidence) = match matched {
+        Some(v) => (v.epochs, v.qrows, v.evidence),
+        None => (Vec::new(), Vec::new(), Vec::new()),
+    };
+    // Dirty union over the container and its members, clamped to the cached
+    // horizon.
+    ts.invalid.clear();
+    if let Some(d) = c.dirty {
+        if !prev_epochs.is_empty() {
+            let union = d.union_for_until(
+                std::iter::once(c.tags[ci as usize])
+                    .chain(members.iter().map(|&m| c.tags[m as usize])),
+                prev_epochs.last().copied(),
+            );
+            ts.invalid.extend(union);
+        }
+    }
+    let start = c.epochs_start[slot] as usize;
+    let needed = &c.epochs_arena[start..start + c.epochs_len[slot] as usize];
+    // Whole-variant fast path, same condition as the reference.
+    let fully_reused = !prev_epochs.is_empty()
+        && prev_epochs.as_slice() == needed
+        && ts
+            .invalid
+            .iter()
+            .all(|t| prev_epochs.binary_search(t).is_err());
+    if fully_reused {
+        ts.stats.posteriors_reused += prev_epochs.len();
+        let reused = prev_epochs.clone();
+        *current = Some(DVariant {
+            members: members.to_vec(),
+            updated_iter: iter,
+            epochs: prev_epochs,
+            qrows: prev_qrows,
+            reused,
+            fully_reused: true,
+            prev_evidence,
+            evidence: Vec::new(),
+        });
+        return;
+    }
+    // Per-epoch path: walk the sorted needed epochs in lockstep with the
+    // previous variant, the invalid set and every involved tag's observation
+    // list (one cursor each — no binary search per epoch).
+    let mut epochs_vec: Vec<Epoch> = Vec::with_capacity(needed.len());
+    let mut qrows: Vec<f64> = Vec::with_capacity(needed.len() * nl);
+    let mut reused_vec: Vec<Epoch> = Vec::new();
+    let mut prev_cur = 0usize;
+    let mut invalid_cur = 0usize;
+    let own = c.obs_of[ci as usize];
+    let own_sets = c.sets_of(ci);
+    let mut own_cur = 0usize;
+    ts.cursors.clear();
+    ts.cursors.resize(members.len(), 0);
+    for &t in needed {
+        while prev_cur < prev_epochs.len() && prev_epochs[prev_cur] < t {
+            prev_cur += 1;
+        }
+        while invalid_cur < ts.invalid.len() && ts.invalid[invalid_cur] < t {
+            invalid_cur += 1;
+        }
+        let hit = ts.invalid.get(invalid_cur) != Some(&t) && prev_epochs.get(prev_cur) == Some(&t);
+        if hit {
+            // The cached row's bits move into the new arena verbatim.
+            ts.stats.posteriors_reused += 1;
+            reused_vec.push(t);
+            qrows.extend_from_slice(&prev_qrows[prev_cur * nl..(prev_cur + 1) * nl]);
+        } else {
+            ts.stats.posteriors_computed += 1;
+            while own_cur < own.len() && own[own_cur].epoch < t {
+                own_cur += 1;
+            }
+            let base_row = if own_cur < own.len() && own[own_cur].epoch == t {
+                c.table.row(own_sets[own_cur])
+            } else {
+                c.model.all_miss_row()
+            };
+            member_rows.clear();
+            for (mi, &m) in members.iter().enumerate() {
+                let list = c.obs_of[m as usize];
+                let mut cur = ts.cursors[mi] as usize;
+                while cur < list.len() && list[cur].epoch < t {
+                    cur += 1;
+                }
+                ts.cursors[mi] = cur as u32;
+                member_rows.push(if cur < list.len() && list[cur].epoch == t {
+                    c.table
+                        .row(c.set_ids[c.set_start[m as usize] as usize + cur])
+                } else {
+                    c.model.all_miss_row()
+                });
+            }
+            // The posterior normalizes directly onto the arena tail — no
+            // per-posterior allocation.
+            if c.config.vector_kernels {
+                container_posterior_row_into_vector(
+                    base_row,
+                    member_rows.iter().copied(),
+                    &mut qrows,
+                );
+            } else {
+                container_posterior_row_into(base_row, member_rows.iter().copied(), &mut qrows);
+            }
+        }
+        epochs_vec.push(t);
+    }
+    *current = Some(DVariant {
+        members: members.to_vec(),
+        updated_iter: iter,
+        epochs: epochs_vec,
+        qrows,
+        reused: reused_vec,
+        fully_reused: false,
+        prev_evidence,
+        evidence: Vec::new(),
+    });
+}
+
+/// M-step (Eq. 5) of object position `k`: fill its weight row `w` (aligned
+/// with its candidate range) and return its new assignment. Reads the
+/// variants only; every evidence series that must land on a variant is
+/// queued on `pushes` instead, in candidate order.
+fn mstep_object(
+    c: &Cols<'_>,
+    current: &[Option<DVariant>],
+    iter: usize,
+    k: usize,
+    w: &mut [f64],
+    pushes: &mut Vec<EvidencePush>,
+    ts: &mut ThreadScratch,
+) -> u32 {
+    let nl = c.nl;
+    let incremental = c.incremental();
+    let oi = c.objects[k];
+    let range = c.cands(k);
+    if range.is_empty() {
+        return NONE_IDX;
+    }
+    let cands = &c.cand_arena[range.clone()];
+    let sorted = &c.cand_sorted[range.clone()];
+    let prior_w = &c.prior_w[range];
+    let variant_of = |ci: u32| current[c.slot_of[ci as usize] as usize].as_ref();
+    let argmax = |w: &[f64], ts: &mut ThreadScratch| {
+        if c.config.vector_kernels {
+            argmax_weight_vector(sorted, cands, w, &mut ts.argmax_buf)
+        } else {
+            argmax_weight(sorted, cands, w)
+        }
+    };
+    // Stable-object fast path: every candidate variant untouched this
+    // iteration ⇒ last iteration's weight row is bit-identical; re-derive
+    // only the argmax, in ascending container order.
+    if incremental
+        && iter > 0
+        && cands
+            .iter()
+            .all(|&ci| variant_of(ci).is_none_or(|v| v.updated_iter < iter))
+    {
+        return argmax(w, ts);
+    }
+    let o_dirty = c.dirty.and_then(|d| d.epochs_of(c.tags[oi as usize]));
+    let o_clean = o_dirty.is_none_or(|d| d.is_empty());
+    let o_obs = c.obs_of[oi as usize];
+    let o_sets = c.sets_of(oi);
+    if c.config.vector_kernels {
+        // Lane-parallel M-step (the transposed walk): classify every
+        // candidate once, then drive all candidates that need the per-epoch
+        // walk through ONE pass over the object's observations — one lane
+        // per candidate accumulator. Each lane keeps the scalar walk's exact
+        // sequence of reuse decisions, dot products and additions (prior
+        // first, then epoch order), and no value flows between lanes, so
+        // every weight is bit-identical; only the interleaving across
+        // candidates changes. The shared work — the o_obs cursor, the dirty
+        // test and the object's loglik row — is paid once per epoch instead
+        // of once per (candidate, epoch).
+        let walkers = &mut ts.walkers;
+        debug_assert!(walkers.is_empty());
+        for (off, &ci) in cands.iter().enumerate() {
+            let slot = c.slot_of[ci as usize];
+            let mut wt = prior_w[off];
+            if let Some(variant) = current[slot as usize].as_ref() {
+                if let Some(series) = find_series(&variant.evidence, oi) {
+                    // Same variant as an earlier iteration: identical inputs,
+                    // identical series and summation order.
+                    ts.stats.evidence_reused += series.len();
+                    for &(_, e) in series {
+                        wt += e;
+                    }
+                } else if let Some(series) = (incremental && variant.fully_reused && o_clean)
+                    .then(|| prev_series(&variant.prev_evidence, oi))
+                    .flatten()
+                {
+                    // Whole-series fast path: the variant's posteriors all
+                    // came from the cache and the object is clean.
+                    ts.stats.evidence_reused += series.len();
+                    for &(_, e) in series {
+                        wt += e;
+                    }
+                    pushes.push(EvidencePush {
+                        slot,
+                        object: oi,
+                        series: None,
+                    });
+                } else {
+                    walkers.push(MWalker {
+                        off: off as u32,
+                        slot,
+                        w: wt,
+                        series: if incremental {
+                            Vec::with_capacity(o_obs.len())
+                        } else {
+                            Vec::new()
+                        },
+                        q_cur: 0,
+                        r_cur: 0,
+                        prev_pos: 0,
+                        done: false,
+                    });
+                    continue;
+                }
+            }
+            w[off] = wt;
+        }
+        if !walkers.is_empty() {
+            // Bind each lane's inputs once — the posterior series, the reuse
+            // epochs and the previous run's series are shared borrows of
+            // `current`, so the walk reads flat slices instead of chasing
+            // through the variant on every epoch.
+            let lane_refs: Vec<MLaneRefs<'_>> = walkers
+                .iter()
+                .map(|wk| {
+                    let v = current[wk.slot as usize].as_ref().expect("walker variant");
+                    (
+                        v.epochs.as_slice(),
+                        v.qrows.as_slice(),
+                        v.reused.as_slice(),
+                        prev_series(&v.prev_evidence, oi),
+                    )
+                })
+                .collect();
+            let mut rows: Vec<&[f64]> = Vec::with_capacity(walkers.len());
+            let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
+            for (pos, obs_at) in o_obs.iter().enumerate() {
+                let t = obs_at.epoch;
+                // The dirty test depends only on (object, epoch): hoisted out
+                // of the per-candidate walks. Same monotone cursor, same
+                // boolean per epoch.
+                let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
+                    while it.peek().is_some_and(|dt| **dt < t) {
+                        it.next();
+                    }
+                    it.peek().is_some_and(|dt| **dt == t)
+                });
+                ts.active.clear();
+                rows.clear();
+                let mut all_done = true;
+                for (l, (wk, refs)) in walkers.iter_mut().zip(&lane_refs).enumerate() {
+                    if wk.done {
+                        continue;
+                    }
+                    let (epochs, qrows, reused, prev) = *refs;
+                    while wk.q_cur < epochs.len() && epochs[wk.q_cur] < t {
+                        wk.q_cur += 1;
+                    }
+                    if wk.q_cur >= epochs.len() {
+                        wk.done = true;
+                        continue;
+                    }
+                    all_done = false;
+                    if epochs[wk.q_cur] != t {
+                        continue;
+                    }
+                    while wk.r_cur < reused.len() && reused[wk.r_cur] < t {
+                        wk.r_cur += 1;
+                    }
+                    if reused.get(wk.r_cur) == Some(&t) && !o_dirty_here {
+                        if let Some(series) = prev {
+                            while wk.prev_pos < series.len() && series[wk.prev_pos].0 < t {
+                                wk.prev_pos += 1;
+                            }
+                            if let Some(&(pt, e)) = series.get(wk.prev_pos) {
+                                if pt == t {
+                                    ts.stats.evidence_reused += 1;
+                                    wk.series.push((t, e));
+                                    wk.w += e;
+                                    continue;
+                                }
+                            }
+                        }
+                    }
+                    ts.stats.evidence_computed += 1;
+                    ts.active.push(l as u32);
+                    rows.push(&qrows[wk.q_cur * nl..(wk.q_cur + 1) * nl]);
+                }
+                if all_done {
+                    break;
+                }
+                if ts.active.is_empty() {
+                    continue;
+                }
+                // Point-evidence dots of every active lane against the
+                // object's loglik row at this epoch — the row is loaded once
+                // and shared across the lanes.
+                let row = c.table.row(o_sets[pos]);
+                for (chunk, qch) in ts
+                    .active
+                    .chunks(kernels::LANES)
+                    .zip(rows.chunks(kernels::LANES))
+                {
+                    let mut vals = [0.0f64; kernels::LANES];
+                    kernels::dot_many_shared(qch, row, &mut vals[..qch.len()]);
+                    for (j, &l) in chunk.iter().enumerate() {
+                        let wk = &mut walkers[l as usize];
+                        let e = vals[j];
+                        if incremental {
+                            wk.series.push((t, e));
+                        }
+                        wk.w += e;
+                    }
+                }
+            }
+            for wk in walkers.drain(..) {
+                if incremental {
+                    pushes.push(EvidencePush {
+                        slot: wk.slot,
+                        object: oi,
+                        series: Some(wk.series),
+                    });
+                }
+                w[wk.off as usize] = wk.w;
+            }
+        }
+    } else {
+        for (off, &ci) in cands.iter().enumerate() {
+            let slot = c.slot_of[ci as usize];
+            let mut wt = prior_w[off];
+            if let Some(variant) = current[slot as usize].as_ref() {
+                if let Some(series) = find_series(&variant.evidence, oi) {
+                    // Same variant as an earlier iteration: identical inputs,
+                    // identical series and summation order.
+                    ts.stats.evidence_reused += series.len();
+                    for &(_, e) in series {
+                        wt += e;
+                    }
+                } else if incremental {
+                    // Whole-series fast path: the variant's posteriors all
+                    // came from the cache and the object is clean.
+                    let moved = (variant.fully_reused && o_clean)
+                        .then(|| prev_series(&variant.prev_evidence, oi))
+                        .flatten();
+                    if let Some(series) = moved {
+                        ts.stats.evidence_reused += series.len();
+                        for &(_, e) in series {
+                            wt += e;
+                        }
+                        pushes.push(EvidencePush {
+                            slot,
+                            object: oi,
+                            series: None,
+                        });
+                    } else {
+                        // Per-epoch path: lockstep walk over the object's
+                        // observations, the variant's sorted posterior
+                        // series, its reuse set, the dirty set and the
+                        // previous series.
+                        let mut prev = PrevSeries::new(prev_series(&variant.prev_evidence, oi));
+                        let mut series = Vec::with_capacity(o_obs.len());
+                        let mut q_cur = 0usize;
+                        let mut r_cur = 0usize;
+                        let mut dirty_iter = o_dirty.map(|d| d.iter().peekable());
+                        for (pos, obs_at) in o_obs.iter().enumerate() {
+                            let t = obs_at.epoch;
+                            while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
+                                q_cur += 1;
+                            }
+                            let Some(&qt) = variant.epochs.get(q_cur) else {
+                                break;
+                            };
+                            if qt != t {
+                                continue;
+                            }
+                            while r_cur < variant.reused.len() && variant.reused[r_cur] < t {
+                                r_cur += 1;
+                            }
+                            let posterior_reused = variant.reused.get(r_cur) == Some(&t);
+                            let o_dirty_here = dirty_iter.as_mut().is_some_and(|it| {
+                                while it.peek().is_some_and(|dt| **dt < t) {
+                                    it.next();
+                                }
+                                it.peek().is_some_and(|dt| **dt == t)
+                            });
+                            let reusable = posterior_reused && !o_dirty_here;
+                            let e = match reusable.then(|| prev.lookup(t)).flatten() {
+                                Some(e) => {
+                                    ts.stats.evidence_reused += 1;
+                                    e
+                                }
+                                None => {
+                                    ts.stats.evidence_computed += 1;
+                                    expect_row_of(
+                                        &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
+                                        c.table.row(o_sets[pos]),
+                                    )
+                                }
+                            };
+                            series.push((t, e));
+                            wt += e;
+                        }
+                        pushes.push(EvidencePush {
+                            slot,
+                            object: oi,
+                            series: Some(series),
+                        });
+                    }
+                } else {
+                    // Full recompute: lockstep walk, memoized rows.
+                    let mut q_cur = 0usize;
+                    for (pos, obs_at) in o_obs.iter().enumerate() {
+                        let t = obs_at.epoch;
+                        while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
+                            q_cur += 1;
+                        }
+                        if let Some(&qt) = variant.epochs.get(q_cur) {
+                            if qt == t {
+                                ts.stats.evidence_computed += 1;
+                                wt += expect_row_of(
+                                    &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
+                                    c.table.row(o_sets[pos]),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            w[off] = wt;
+        }
+    }
+    argmax(w, ts)
+}
+
 /// Convert the dense EM state into the public `TagId`-keyed
 /// [`InferenceOutcome`] — the only place interned indices are translated
-/// back.
+/// back. The per-object evidence is split by object and the container
+/// location estimates by slot.
 #[allow(clippy::too_many_arguments)]
 fn build_outcome(
     rf: &RfInfer<'_>,
     s: &mut DenseScratch,
+    pool: &mut Vec<ThreadScratch>,
     obs_of: &[&[ObsAt]],
+    dirty: Option<&DirtySet>,
     current: &[Option<DVariant>],
     iterations: usize,
-    incremental: bool,
     stats: &mut InferenceStats,
 ) -> InferenceOutcome {
     let model = rf.model;
-    let nl = model.num_locations();
     let num_objects = s.objects.len();
     let num_rel = s.rel.len();
 
     // Point evidence per (object, candidate) from the final posteriors; in
     // incremental mode the final M-step iteration already stored every
     // series, so the builder clones instead of re-deriving.
-    let mut objects_map: BTreeMap<TagId, ObjectEvidence> = BTreeMap::new();
-    for k in 0..num_objects {
-        let oi = s.objects[k];
-        let range = s.cand_start[k] as usize..s.cand_start[k + 1] as usize;
-        let o_obs = obs_of[oi as usize];
-        let o_sets =
-            &s.set_ids[s.set_start[oi as usize] as usize..s.set_start[oi as usize + 1] as usize];
-        let mut point_evidence: BTreeMap<TagId, Vec<(Epoch, f64)>> = BTreeMap::new();
-        let mut weights: BTreeMap<TagId, f64> = BTreeMap::new();
-        // One points list per candidate, indexed by offset within `range`.
-        let mut flat_points: Vec<Vec<(Epoch, f64)>> = Vec::new();
-        flat_points.resize_with(range.len(), Vec::new);
-        // Lanes of the transposed recompute walk (vector path): one per
-        // candidate whose series must be re-derived from the final
-        // posteriors.
-        struct BLane<'v> {
-            off: usize,
-            q_cur: usize,
-            v: &'v DVariant,
-        }
-        let mut lanes: Vec<BLane<'_>> = Vec::new();
-        for (off, flat) in range.clone().enumerate() {
-            let ci = s.cand_arena[flat];
-            if let Some(variant) = current[s.slot_of[ci as usize] as usize].as_ref() {
-                match find_series(&variant.evidence, oi) {
-                    Some(series) if incremental => {
-                        stats.evidence_reused += series.len();
-                        flat_points[off] = series.clone();
-                    }
-                    _ if rf.config.vector_kernels => lanes.push(BLane {
-                        off,
-                        q_cur: 0,
-                        v: variant,
-                    }),
-                    _ => {
-                        let mut q_cur = 0usize;
-                        for (pos, obs_at) in o_obs.iter().enumerate() {
-                            let t = obs_at.epoch;
-                            while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
-                                q_cur += 1;
-                            }
-                            if let Some(&qt) = variant.epochs.get(q_cur) {
-                                if qt == t {
-                                    stats.evidence_computed += 1;
-                                    flat_points[off].push((
-                                        t,
-                                        expect_row_of(
-                                            &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                            s.table.row(o_sets[pos]),
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
+    let objects_map: BTreeMap<TagId, ObjectEvidence> = {
+        let c = Cols::of(s, rf, dirty, obs_of);
+        let helpers = split::helpers_for((0..num_objects).map(|k| c.object_cost(k)).sum());
+        let threads = thread_states(pool, helpers);
+        let ranges = split::ranges((0..num_objects).map(|k| c.object_cost(k)), helpers + 1);
+        let mut built: Vec<Vec<(TagId, ObjectEvidence)>> =
+            ranges.iter().map(|_| Vec::new()).collect();
+        let (weights, assign) = (&s.weights, &s.assign);
+        split::drain(
+            threads,
+            ranges.into_iter().zip(built.iter_mut()).collect(),
+            |ts, (objects, out)| {
+                for k in objects {
+                    out.push(object_evidence(&c, current, weights, assign[k], k, ts));
                 }
-            }
-        }
-        if !lanes.is_empty() {
-            // Same transposed walk as the M-step: one pass over the
-            // object's observations drives every lane, the loglik row is
-            // loaded once per epoch and shared, and each lane's points
-            // accumulate in epoch order — the scalar walk's exact values
-            // in the scalar walk's exact order.
-            for (pos, obs_at) in o_obs.iter().enumerate() {
-                let t = obs_at.epoch;
-                s.active.clear();
-                let mut all_done = true;
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    let epochs = &lane.v.epochs;
-                    while lane.q_cur < epochs.len() && epochs[lane.q_cur] < t {
-                        lane.q_cur += 1;
-                    }
-                    if lane.q_cur >= epochs.len() {
-                        continue;
-                    }
-                    all_done = false;
-                    if epochs[lane.q_cur] == t {
-                        stats.evidence_computed += 1;
-                        s.active.push(l as u32);
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                if s.active.is_empty() {
-                    continue;
-                }
-                let row = s.table.row(o_sets[pos]);
-                for chunk in s.active.chunks(kernels::LANES) {
-                    let mut qs: [&[f64]; kernels::LANES] = [&[]; kernels::LANES];
-                    for (j, &l) in chunk.iter().enumerate() {
-                        let lane = &lanes[l as usize];
-                        qs[j] = &lane.v.qrows[lane.q_cur * nl..(lane.q_cur + 1) * nl];
-                    }
-                    let mut vals = [0.0f64; kernels::LANES];
-                    if rf.config.fast_math {
-                        for j in 0..chunk.len() {
-                            vals[j] = kernels::dot_fast(qs[j], row);
-                        }
-                    } else {
-                        kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
-                    }
-                    for (j, &l) in chunk.iter().enumerate() {
-                        flat_points[lanes[l as usize].off].push((t, vals[j]));
-                    }
-                }
-            }
-        }
-        for (off, flat) in range.clone().enumerate() {
-            let ci = s.cand_arena[flat];
-            point_evidence.insert(s.tags[ci as usize], std::mem::take(&mut flat_points[off]));
-            weights.insert(s.tags[ci as usize], s.weights[flat]);
-        }
-        let assigned = (s.assign[k] != NONE_IDX).then(|| s.tags[s.assign[k] as usize]);
-        objects_map.insert(
-            s.tags[oi as usize],
-            ObjectEvidence {
-                candidates: s.cand_arena[range]
-                    .iter()
-                    .map(|&ci| s.tags[ci as usize])
-                    .collect(),
-                weights,
-                point_evidence,
-                assigned,
             },
         );
-    }
+        gather_stats(stats, threads);
+        built.into_iter().flatten().collect()
+    };
 
     // Location estimates: containers from their posteriors at informative
     // epochs only. Members come from the *final* assignment (it may have
@@ -1602,45 +1761,33 @@ fn build_outcome(
         num_rel,
     );
 
-    let mut tag_locations: BTreeMap<TagId, Vec<(Epoch, LocationId)>> = BTreeMap::new();
-    for (slot, current_slot) in current.iter().enumerate() {
-        let Some(variant) = current_slot.as_ref() else {
-            continue;
+    let mut tag_locations: BTreeMap<TagId, Locations> = {
+        let c = Cols::of(s, rf, dirty, obs_of);
+        let cost = |slot: usize| {
+            current[slot]
+                .as_ref()
+                .map_or(0, |v| v.epochs.len() * (c.members(slot).len() + 1))
         };
-        let ci = s.rel[slot];
-        let own = obs_of[ci as usize];
-        let members =
-            &s.member_arena[s.member_start[slot] as usize..s.member_start[slot + 1] as usize];
-        let mut own_cur = 0usize;
-        s.cursors.clear();
-        s.cursors.resize(members.len(), 0);
-        let mut locs: Vec<(Epoch, LocationId)> = Vec::new();
-        for (&t, q) in variant.epochs.iter().zip(variant.qrows.chunks_exact(nl)) {
-            while own_cur < own.len() && own[own_cur].epoch < t {
-                own_cur += 1;
-            }
-            let mut informative = own_cur < own.len() && own[own_cur].epoch == t;
-            for (mi, &m) in members.iter().enumerate() {
-                let list = obs_of[m as usize];
-                let mut cur = s.cursors[mi] as usize;
-                while cur < list.len() && list[cur].epoch < t {
-                    cur += 1;
+        let helpers = split::helpers_for((0..num_rel).map(cost).sum());
+        let threads = thread_states(pool, helpers);
+        let ranges = split::ranges((0..num_rel).map(cost), helpers + 1);
+        let mut built: Vec<Vec<(TagId, Locations)>> = ranges.iter().map(|_| Vec::new()).collect();
+        split::drain(
+            threads,
+            ranges.into_iter().zip(built.iter_mut()).collect(),
+            |ts, (slots, out)| {
+                for slot in slots {
+                    if let Some(variant) = current[slot].as_ref() {
+                        let locs = container_locations(&c, slot, variant, &mut ts.cursors);
+                        if !locs.is_empty() {
+                            out.push((c.tags[c.rel[slot] as usize], locs));
+                        }
+                    }
                 }
-                s.cursors[mi] = cur as u32;
-                if !informative && cur < list.len() && list[cur].epoch == t {
-                    informative = true;
-                }
-            }
-            if informative {
-                // The later-ties-win scan of `Posterior::map_location`, over
-                // the arena row directly.
-                locs.push((t, Posterior::map_location_of_row(q)));
-            }
-        }
-        if !locs.is_empty() {
-            tag_locations.insert(s.tags[ci as usize], locs);
-        }
-    }
+            },
+        );
+        built.into_iter().flatten().collect()
+    };
     // Objects with no assigned container fall back to their own readings
     // (the memoized row *is* the log-weight vector of that posterior).
     for k in 0..num_objects {
@@ -1688,4 +1835,172 @@ fn build_outcome(
         iterations,
         num_locations: model.num_locations(),
     }
+}
+
+/// The MAP location of container `slot` at each informative epoch of its
+/// final posteriors — an epoch where the container or one of its final
+/// members was read.
+fn container_locations(
+    c: &Cols<'_>,
+    slot: usize,
+    variant: &DVariant,
+    cursors: &mut Vec<u32>,
+) -> Locations {
+    let own = c.obs_of[c.rel[slot] as usize];
+    let members = c.members(slot);
+    let mut own_cur = 0usize;
+    cursors.clear();
+    cursors.resize(members.len(), 0);
+    let mut locs = Locations::new();
+    for (&t, q) in variant.epochs.iter().zip(variant.qrows.chunks_exact(c.nl)) {
+        while own_cur < own.len() && own[own_cur].epoch < t {
+            own_cur += 1;
+        }
+        let mut informative = own_cur < own.len() && own[own_cur].epoch == t;
+        for (mi, &m) in members.iter().enumerate() {
+            let list = c.obs_of[m as usize];
+            let mut cur = cursors[mi] as usize;
+            while cur < list.len() && list[cur].epoch < t {
+                cur += 1;
+            }
+            cursors[mi] = cur as u32;
+            if !informative && cur < list.len() && list[cur].epoch == t {
+                informative = true;
+            }
+        }
+        if informative {
+            // The later-ties-win scan of `Posterior::map_location`, over the
+            // arena row directly.
+            locs.push((t, Posterior::map_location_of_row(q)));
+        }
+    }
+    locs
+}
+
+/// The [`ObjectEvidence`] of object position `k`: its candidates, final
+/// weights, assignment and per-candidate point-evidence series, cloned from
+/// the final M-step in incremental mode and re-derived from the final
+/// posteriors otherwise.
+fn object_evidence(
+    c: &Cols<'_>,
+    current: &[Option<DVariant>],
+    weights: &[f64],
+    assign: u32,
+    k: usize,
+    ts: &mut ThreadScratch,
+) -> (TagId, ObjectEvidence) {
+    let nl = c.nl;
+    let oi = c.objects[k];
+    let range = c.cands(k);
+    let o_obs = c.obs_of[oi as usize];
+    let o_sets = c.sets_of(oi);
+    // One points list per candidate, indexed by offset within `range`.
+    let mut flat_points: Vec<Vec<(Epoch, f64)>> = Vec::new();
+    flat_points.resize_with(range.len(), Vec::new);
+    // Lanes of the transposed recompute walk (vector path): one per
+    // candidate whose series must be re-derived from the final posteriors.
+    struct BLane<'v> {
+        off: usize,
+        q_cur: usize,
+        v: &'v DVariant,
+    }
+    let mut lanes: Vec<BLane<'_>> = Vec::new();
+    for (off, flat) in range.clone().enumerate() {
+        let ci = c.cand_arena[flat];
+        if let Some(variant) = current[c.slot_of[ci as usize] as usize].as_ref() {
+            match find_series(&variant.evidence, oi) {
+                Some(series) if c.incremental() => {
+                    ts.stats.evidence_reused += series.len();
+                    flat_points[off] = series.clone();
+                }
+                _ if c.config.vector_kernels => lanes.push(BLane {
+                    off,
+                    q_cur: 0,
+                    v: variant,
+                }),
+                _ => {
+                    let mut q_cur = 0usize;
+                    for (pos, obs_at) in o_obs.iter().enumerate() {
+                        let t = obs_at.epoch;
+                        while q_cur < variant.epochs.len() && variant.epochs[q_cur] < t {
+                            q_cur += 1;
+                        }
+                        if let Some(&qt) = variant.epochs.get(q_cur) {
+                            if qt == t {
+                                ts.stats.evidence_computed += 1;
+                                flat_points[off].push((
+                                    t,
+                                    expect_row_of(
+                                        &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
+                                        c.table.row(o_sets[pos]),
+                                    ),
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if !lanes.is_empty() {
+        // Same transposed walk as the M-step: one pass over the object's
+        // observations drives every lane, the loglik row is loaded once per
+        // epoch and shared, and each lane's points accumulate in epoch order
+        // — the scalar walk's exact values in the scalar walk's exact order.
+        for (pos, obs_at) in o_obs.iter().enumerate() {
+            let t = obs_at.epoch;
+            ts.active.clear();
+            let mut all_done = true;
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                let epochs = &lane.v.epochs;
+                while lane.q_cur < epochs.len() && epochs[lane.q_cur] < t {
+                    lane.q_cur += 1;
+                }
+                if lane.q_cur >= epochs.len() {
+                    continue;
+                }
+                all_done = false;
+                if epochs[lane.q_cur] == t {
+                    ts.stats.evidence_computed += 1;
+                    ts.active.push(l as u32);
+                }
+            }
+            if all_done {
+                break;
+            }
+            if ts.active.is_empty() {
+                continue;
+            }
+            let row = c.table.row(o_sets[pos]);
+            for chunk in ts.active.chunks(kernels::LANES) {
+                let mut qs: [&[f64]; kernels::LANES] = [&[]; kernels::LANES];
+                for (j, &l) in chunk.iter().enumerate() {
+                    let lane = &lanes[l as usize];
+                    qs[j] = &lane.v.qrows[lane.q_cur * nl..(lane.q_cur + 1) * nl];
+                }
+                let mut vals = [0.0f64; kernels::LANES];
+                kernels::dot_many_shared(&qs[..chunk.len()], row, &mut vals[..chunk.len()]);
+                for (j, &l) in chunk.iter().enumerate() {
+                    flat_points[lanes[l as usize].off].push((t, vals[j]));
+                }
+            }
+        }
+    }
+    let mut point_evidence: BTreeMap<TagId, Vec<(Epoch, f64)>> = BTreeMap::new();
+    let mut object_weights: BTreeMap<TagId, f64> = BTreeMap::new();
+    for (off, flat) in range.clone().enumerate() {
+        let tag = c.tags[c.cand_arena[flat] as usize];
+        point_evidence.insert(tag, std::mem::take(&mut flat_points[off]));
+        object_weights.insert(tag, weights[flat]);
+    }
+    let evidence = ObjectEvidence {
+        candidates: c.cand_arena[range]
+            .iter()
+            .map(|&ci| c.tags[ci as usize])
+            .collect(),
+        weights: object_weights,
+        point_evidence,
+        assigned: (assign != NONE_IDX).then(|| c.tags[assign as usize]),
+    };
+    (c.tags[oi as usize], evidence)
 }

@@ -1,19 +1,16 @@
 //! Chunk-of-8 `f64` kernels behind the dense EM's vector path.
 //!
-//! Every kernel here obeys one design rule, which is what lets the vector
-//! path stay **bit-identical to the scalar reference without an opt-in**:
-//! lanes run *across locations or across candidates*, never across the terms
-//! of a single accumulator. Elementwise operations (row adds, the
-//! subtract-max before `exp`, the divide-by-sum) are embarrassingly lane
-//! parallel; the set-max of the log-sum-exp trick is order-independent (see
-//! [`max_log_weights`]); and the batched dot products of [`dot_batch`] give
-//! each candidate its own lane whose summation order over locations is
-//! exactly the scalar [`Posterior::expect_row`](crate::Posterior::expect_row)
-//! order. Anything that would
-//! reassociate a single running sum — splitting one dot product or one
-//! normalization sum into partial accumulators — lives in the `*_fast`
-//! kernels and is only reachable through the opt-in
-//! [`RfInferConfig::fast_math`](crate::RfInferConfig::fast_math) flag.
+//! Every kernel here obeys one design rule, which is what keeps the vector
+//! path **bit-identical to the scalar reference**: lanes run *across
+//! locations or across candidates*, never across the terms of a single
+//! accumulator. Elementwise operations (row adds, the subtract-max before
+//! `exp`, the divide-by-sum) are embarrassingly lane parallel; the set-max of
+//! the log-sum-exp trick is order-independent (see [`max_log_weights`]); and
+//! the batched dot products of [`dot_many_shared`] give each candidate its
+//! own lane whose summation order over locations is exactly the scalar
+//! [`Posterior::expect_row`](crate::Posterior::expect_row) order. Nothing
+//! here splits one running sum — one dot product or one normalization sum —
+//! into partial accumulators.
 //!
 //! The portable kernels are written as fixed-width chunk loops that rustc
 //! autovectorizes on stable. On x86-64 an explicit AVX2 path (plain
@@ -221,75 +218,64 @@ pub fn exp_normalize(row: &mut [f64]) {
 // ---------------------------------------------------------------------------
 
 /// One point-evidence dot product, in the scalar reference order — the
-/// summation order every lane of [`dot_batch`] replicates.
+/// summation order every lane of [`dot_many_shared`] replicates. Never
+/// inlined, so every caller runs the same machine code: that pins the NaN a
+/// lane returns when two NaNs meet, which IEEE 754 leaves to the operand
+/// order the compiler picks.
+#[inline(never)]
 pub fn dot(q: &[f64], row: &[f64]) -> f64 {
     q.iter().zip(row).map(|(q, v)| q * v).sum()
 }
 
-/// Up to [`LANES`] independent dot products evaluated in lockstep:
-/// `out[l] = dot(qs[l], rows[l])`.
-///
-/// This is the lane-per-candidate kernel of the M-step: each lane keeps its
-/// own accumulator and walks locations in exactly the scalar [`dot`] order,
-/// so every output is bit-identical to calling [`dot`] per lane — the lanes
-/// only break the single serial multiply-add dependency chain (the dominant
-/// cost of evidence evaluation) into `LANES` independent ones.
-pub fn dot_batch(qs: &[&[f64]], rows: &[&[f64]], out: &mut [f64]) {
-    debug_assert_eq!(qs.len(), rows.len());
-    debug_assert!(out.len() >= qs.len());
-    let mut lane = 0usize;
-    while lane + LANES <= qs.len() {
-        let q8: &[&[f64]] = &qs[lane..lane + LANES];
-        let r8: &[&[f64]] = &rows[lane..lane + LANES];
-        let n = q8[0].len();
-        // `Iterator::sum::<f64>()` folds from `-0.0`; start every lane there
-        // so zero-sign behaviour matches the scalar dot bitwise.
-        let mut acc = [-0.0f64; LANES];
-        if q8.iter().all(|q| q.len() == n) && r8.iter().all(|r| r.len() >= n) {
-            for a in 0..n {
-                for l in 0..LANES {
-                    // LINT-ALLOW(float-exactness): each lane owns one whole dot product in scalar term order; no single sum is ever split across lanes
-                    acc[l] += q8[l][a] * r8[l][a];
-                }
-            }
-            out[lane..lane + LANES].copy_from_slice(&acc);
-        } else {
-            for l in 0..LANES {
-                out[lane + l] = dot(q8[l], r8[l]);
-            }
-        }
-        lane += LANES;
-    }
-    for l in lane..qs.len() {
-        out[l] = dot(qs[l], rows[l]);
-    }
-}
-
-/// Up to [`LANES`] dot products against one **shared** row:
-/// `out[l] = dot(qs[l], row)`.
+/// Dot products against one **shared** row: `out[l] = dot(qs[l], row)`.
 ///
 /// The transposed M-step evaluates every active candidate's point evidence
-/// at one epoch against the same object loglik row; sharing the row halves
-/// the loads per lane (the row stays hot while the lane posteriors stream).
-/// Each lane keeps its own accumulator in the scalar [`dot`] order, so every
-/// output is bit-identical to calling [`dot`] per lane.
+/// at one epoch against the same object loglik row. The lanes run
+/// interleaved, [`LANES`] at a time: each location's row value is loaded
+/// once and multiplied into every lane's accumulator before the next
+/// location, so the lanes' add chains overlap instead of running one after
+/// another. Each lane keeps its own accumulator in the scalar [`dot`] order,
+/// so every output is bit-identical to calling [`dot`] per lane. A lane
+/// that ends in NaN is recomputed by [`dot`] itself: which NaN survives an
+/// add of two NaNs depends on operand order, and the interleaved lanes may
+/// be compiled with the operands swapped.
 pub fn dot_many_shared(qs: &[&[f64]], row: &[f64], out: &mut [f64]) {
     debug_assert!(out.len() >= qs.len());
-    let n = row.len();
-    if qs.iter().all(|q| q.len() == n) {
-        for (l, q) in qs.iter().enumerate() {
-            // `Iterator::sum::<f64>()` folds from `-0.0`; start there so
-            // zero-sign behaviour matches the scalar dot bitwise.
-            let mut acc = -0.0f64;
-            for a in 0..n {
-                acc += q[a] * row[a];
-            }
-            out[l] = acc;
-        }
-    } else {
+    if qs.iter().any(|q| q.len() != row.len()) {
         for (l, q) in qs.iter().enumerate() {
             out[l] = dot(q, row);
         }
+        return;
+    }
+    for (qch, och) in qs.chunks(LANES).zip(out.chunks_mut(LANES)) {
+        match qch.len() {
+            1 => dot_lanes::<1>(qch, row, och),
+            2 => dot_lanes::<2>(qch, row, och),
+            3 => dot_lanes::<3>(qch, row, och),
+            4 => dot_lanes::<4>(qch, row, och),
+            5 => dot_lanes::<5>(qch, row, och),
+            6 => dot_lanes::<6>(qch, row, och),
+            7 => dot_lanes::<7>(qch, row, och),
+            _ => dot_lanes::<LANES>(qch, row, och),
+        }
+    }
+}
+
+/// `M` interleaved lanes of [`dot_many_shared`]; every `qs[l]` has the
+/// row's length.
+fn dot_lanes<const M: usize>(qs: &[&[f64]], row: &[f64], out: &mut [f64]) {
+    let qs: [&[f64]; M] = std::array::from_fn(|l| &qs[l][..row.len()]);
+    // `Iterator::sum::<f64>()` folds from `-0.0`; start every lane there so
+    // zero-sign behaviour matches the scalar dot bitwise.
+    let mut acc = [-0.0f64; M];
+    for (a, &v) in row.iter().enumerate() {
+        for l in 0..M {
+            // LINT-ALLOW(float-exactness): each lane owns one whole dot product in scalar term order; no single sum is ever split across lanes
+            acc[l] += qs[l][a] * v;
+        }
+    }
+    for (l, (o, a)) in out.iter_mut().zip(acc).enumerate() {
+        *o = if a.is_nan() { dot(qs[l], row) } else { a };
     }
 }
 
@@ -330,43 +316,6 @@ pub fn argmax_ties_last(ws: &[f64]) -> Option<usize> {
         i = end;
     }
     Some(best_at)
-}
-
-// ---------------------------------------------------------------------------
-// Reassociating kernels (opt-in via RfInferConfig::fast_math only)
-// ---------------------------------------------------------------------------
-
-/// Sum with [`LANES`] partial accumulators. **Reassociates** the addition
-/// order, so the result differs from the sequential sum in the last ULPs —
-/// only used when `fast_math` is enabled, and excluded from the equivalence
-/// tests.
-// EXACTNESS: reassociating (fast_math only)
-pub fn sum_fast(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let (chunks, rest) = xs.split_at(n - n % LANES);
-    let mut lanes = [0.0f64; LANES];
-    for x8 in chunks.chunks_exact(LANES) {
-        for l in 0..LANES {
-            lanes[l] += x8[l];
-        }
-    }
-    lanes.iter().sum::<f64>() + rest.iter().sum::<f64>()
-}
-
-/// Dot product with [`LANES`] partial accumulators — the `fast_math`
-/// counterpart of [`dot`]. **Reassociates**; see [`sum_fast`].
-// EXACTNESS: reassociating (fast_math only)
-pub fn dot_fast(q: &[f64], row: &[f64]) -> f64 {
-    let n = q.len().min(row.len());
-    let (qc, qr) = q[..n].split_at(n - n % LANES);
-    let (rc, rr) = row[..n].split_at(n - n % LANES);
-    let mut lanes = [0.0f64; LANES];
-    for (q8, r8) in qc.chunks_exact(LANES).zip(rc.chunks_exact(LANES)) {
-        for l in 0..LANES {
-            lanes[l] += q8[l] * r8[l];
-        }
-    }
-    lanes.iter().sum::<f64>() + qr.iter().zip(rr).map(|(q, v)| q * v).sum::<f64>()
 }
 
 #[cfg(test)]
@@ -549,46 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_batch_matches_scalar_dots_bitwise() {
-        let rows = cases();
-        // Build lane batches of every width 0..=17 from consecutive cases of
-        // equal length, paired with a second operand derived from each.
-        for width in 0..=17usize {
-            for n in [0usize, 1, 7, 8, 9, 16, 17] {
-                let qs_owned: Vec<Vec<f64>> = (0..width)
-                    .map(|l| {
-                        (0..n)
-                            .map(|i| ((i + l * 11) % 13) as f64 * 0.7 - 3.0)
-                            .collect()
-                    })
-                    .collect();
-                let rows_owned: Vec<Vec<f64>> = (0..width)
-                    .map(|l| (0..n).map(|i| -(((i * 5 + l) % 19) as f64) * 1.1).collect())
-                    .collect();
-                let qs: Vec<&[f64]> = qs_owned.iter().map(|v| v.as_slice()).collect();
-                let vrows: Vec<&[f64]> = rows_owned.iter().map(|v| v.as_slice()).collect();
-                let mut out = vec![0.0f64; width];
-                dot_batch(&qs, &vrows, &mut out);
-                for l in 0..width {
-                    let want = dot(qs[l], vrows[l]);
-                    assert_eq!(out[l].to_bits(), want.to_bits(), "lane {l} width {width}");
-                }
-            }
-        }
-        // Pathological lanes: -inf and NaN-adjacent operands.
-        for case in rows.iter().filter(|c| !c.is_empty()) {
-            let q: Vec<f64> = case.iter().map(|&x| (x * 0.01).exp()).collect();
-            let qs = [q.as_slice(), q.as_slice()];
-            let vrows = [case.as_slice(), case.as_slice()];
-            let mut out = [0.0f64; 2];
-            dot_batch(&qs, &vrows, &mut out);
-            let want = dot(&q, case);
-            assert_eq!(out[0].to_bits(), want.to_bits());
-            assert_eq!(out[1].to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
     fn dot_many_shared_matches_scalar_dots_bitwise() {
         for width in 0..=17usize {
             for n in [0usize, 1, 7, 8, 9, 16, 17] {
@@ -621,6 +530,42 @@ mod tests {
                 assert_eq!(out[l].to_bits(), dot(q, case).to_bits(), "lane {l}");
             }
         }
+        // Every interleaved lane count, with signed zeros, NaN and ±inf on
+        // both operands: each lane must equal its own scalar dot bitwise
+        // whatever its neighbours hold.
+        const SPECIAL: [f64; 8] = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            1e-308,
+        ];
+        let mut rows = cases();
+        rows.extend((0..=17usize).map(|n| (0..n).map(|i| SPECIAL[i * 3 % 8]).collect()));
+        for row in rows.iter().filter(|r| !r.is_empty()) {
+            for lanes in 1..=LANES {
+                let qs_owned: Vec<Vec<f64>> = (0..lanes)
+                    .map(|l| {
+                        (0..row.len())
+                            .map(|i| SPECIAL[(i * 5 + l * 3) % 8])
+                            .collect()
+                    })
+                    .collect();
+                let qs: Vec<&[f64]> = qs_owned.iter().map(|v| v.as_slice()).collect();
+                let mut out = vec![0.0f64; lanes];
+                dot_many_shared(&qs, row, &mut out);
+                for l in 0..lanes {
+                    assert_eq!(
+                        out[l].to_bits(),
+                        dot(qs[l], row).to_bits(),
+                        "lane {l} of {lanes}, row {row:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -650,20 +595,6 @@ mod tests {
             .map(|i| if i == 9 { f64::NAN } else { i as f64 })
             .collect();
         assert_eq!(argmax_ties_last(&nan_mid), Some(16));
-    }
-
-    #[test]
-    fn fast_kernels_stay_close_but_are_not_required_to_match() {
-        // The fast kernels reassociate: assert they agree to float tolerance
-        // (their contract) without pinning bits.
-        for n in [0usize, 1, 7, 8, 9, 16, 17, 100] {
-            let xs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-            let seq_sum: f64 = xs.iter().sum();
-            assert!((sum_fast(&xs) - seq_sum).abs() <= 1e-9 * (1.0 + seq_sum.abs()));
-            let seq_dot = dot(&xs, &ys);
-            assert!((dot_fast(&xs, &ys) - seq_dot).abs() <= 1e-9 * (1.0 + seq_dot.abs()));
-        }
     }
 
     #[cfg(target_arch = "x86_64")]

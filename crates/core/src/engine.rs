@@ -24,6 +24,7 @@ use rfid_types::{
     ContainmentMap, Epoch, LocationId, ObjectEvent, RawReading, ReadRateTable, ReadingBatch, TagId,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -446,6 +447,29 @@ impl InferenceEngine {
     /// readings plus those of its candidate containers (Section 4.1,
     /// *Truncating History*).
     pub fn export_readings(&self, object: TagId) -> ReadingsState {
+        self.export_readings_where(object, |_| true)
+    }
+
+    /// [`Self::export_readings`] for one object of a shipment whose earlier
+    /// objects already carried the readings of every tag in `carried`: those
+    /// tags are skipped, and the tags exported here join `carried`. Between
+    /// two exports of one shipment the store does not change, so a carried
+    /// tag's readings are exactly the ones already shipped.
+    pub fn export_new_readings(
+        &self,
+        object: TagId,
+        carried: &mut BTreeSet<TagId>,
+    ) -> ReadingsState {
+        self.export_readings_where(object, |tag| carried.insert(tag))
+    }
+
+    /// The readings of `object` and its candidates, in that order, for the
+    /// tags `keep` accepts.
+    fn export_readings_where(
+        &self,
+        object: TagId,
+        mut keep: impl FnMut(TagId) -> bool,
+    ) -> ReadingsState {
         let mut tags = vec![object];
         if let Some(outcome) = &self.last_outcome {
             if let Some(evidence) = outcome.objects.get(&object) {
@@ -454,11 +478,21 @@ impl InferenceEngine {
         }
         let mut readings = Vec::new();
         for tag in tags {
+            if !keep(tag) {
+                continue;
+            }
+            let first = readings.len();
             for obs in self.store.obs_for(tag) {
                 for reader in &obs.readers {
                     readings.push(RawReading::new(obs.epoch, tag, reader.reader()));
                 }
             }
+            // Epochs ascend and each epoch's readers are sorted and unique,
+            // so one tag never repeats a reading.
+            debug_assert!(
+                readings[first..].windows(2).all(|w| w[0] < w[1]),
+                "repeated reading within one tag"
+            );
         }
         ReadingsState {
             object,

@@ -58,11 +58,6 @@ pub struct RfInferConfig {
     /// bytes are **bit-identical** with the flag on or off; off exists as
     /// the exactness reference the equivalence tests sweep.
     pub vector_kernels: bool,
-    /// Opt-in reassociating kernels (multi-accumulator sums and dot
-    /// products). Faster but **not** bit-identical to the reference
-    /// summation order — off by default and excluded from the equivalence
-    /// tests. Ignored unless `vector_kernels` is also on.
-    pub fast_math: bool,
 }
 
 impl Default for RfInferConfig {
@@ -74,7 +69,6 @@ impl Default for RfInferConfig {
             memoization: true,
             dense: true,
             vector_kernels: true,
-            fast_math: false,
         }
     }
 }

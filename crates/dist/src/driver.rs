@@ -27,7 +27,9 @@ use crate::comm::{CommCost, MessageKind};
 use crate::config::{DistributedConfig, MigrationStrategy};
 use crate::ons::{Ons, ONS_UPDATE_BYTES};
 use crate::transport::{DeliveryPlan, EdgeSequencer, ReliableInbox, TransportMode, TransportStats};
-use rfid_core::{InferenceEngine, InferenceReport, InferenceStats, MemoryStats, MigrationState};
+use rfid_core::{
+    InferenceEngine, InferenceReport, InferenceStats, MemoryStats, MigrationState, ThresholdPolicy,
+};
 use rfid_query::sharing::unshared_bytes_with;
 use rfid_query::{share_states_with, Alert, ObjectQueryState, QueryProcessor};
 use rfid_sim::{ChainTrace, CrashFault, FaultPlan, ObjectTransfer};
@@ -201,11 +203,32 @@ pub(crate) struct FederatedCtx<'a> {
     codec: WireCodec,
     /// How much of the reliable-delivery machinery this run engages.
     transport_mode: TransportMode,
+    /// The change-point threshold δ of every distinct read-rate table in the
+    /// chain, calibrated once here instead of once per engine: the sites of
+    /// one warehouse layout share a table, and δ depends only on the table
+    /// and the inference configuration. Empty unless the policy calibrates.
+    thresholds: Vec<(ReadRateTable, f64)>,
 }
 
 impl<'a> FederatedCtx<'a> {
     pub(crate) fn new(driver: &'a DistributedDriver, chain: &ChainTrace) -> FederatedCtx<'a> {
         let strategy = driver.config.strategy;
+        let inference = &driver.config.inference;
+        let mut thresholds: Vec<(ReadRateTable, f64)> = Vec::new();
+        if let Some(ThresholdPolicy::Calibrated { .. }) =
+            inference.change_detection.map(|c| c.threshold)
+        {
+            for site in &chain.sites {
+                if thresholds
+                    .iter()
+                    .all(|(rates, _)| *rates != site.read_rates)
+                {
+                    let delta = InferenceEngine::new(inference.clone(), site.read_rates.clone())
+                        .calibrate_threshold();
+                    thresholds.push((site.read_rates.clone(), delta));
+                }
+            }
+        }
         FederatedCtx {
             driver,
             horizon: chain.sites.first().map(|s| s.meta.length).unwrap_or(0),
@@ -218,7 +241,18 @@ impl<'a> FederatedCtx<'a> {
                 driver.config.faults.as_ref(),
                 &driver.config.transport,
             ),
+            thresholds,
         }
+    }
+
+    /// A fresh engine for a site with read-rate table `rates`, its
+    /// change-point threshold fixed to the shared calibration.
+    pub(crate) fn engine(&self, rates: &ReadRateTable) -> InferenceEngine {
+        let mut config = self.driver.config.inference.clone();
+        if let Some(&(_, delta)) = self.thresholds.iter().find(|(r, _)| r == rates) {
+            config = config.with_fixed_threshold(delta);
+        }
+        InferenceEngine::new(config, rates.clone())
     }
 }
 
@@ -382,7 +416,7 @@ impl<'a> SiteState<'a> {
         };
         SiteState {
             site,
-            engine: InferenceEngine::new(config.inference.clone(), trace.read_rates.clone()),
+            engine: ctx.engine(&trace.read_rates),
             processor: ctx.driver.make_processor(),
             readings,
             reading_cursor: 0,
@@ -693,11 +727,12 @@ impl<'a> SiteState<'a> {
             // reliable transport the bundle rides on every retransmission, so
             // it is charged once per the slowest envelope's attempt count.
             let mut group_attempts = 1u32;
-            // Readings already on this shipment: a migrating object re-ships
-            // its candidate containers' critical-region readings, and objects
-            // of one case share those candidates, so without per-shipment
-            // dedup the same container readings travel once per object.
-            let mut shipped_readings: BTreeSet<RawReading> = BTreeSet::new();
+            // Tags whose readings are already on this shipment: a migrating
+            // object re-ships its candidate containers' critical-region
+            // readings, and objects of one case share those candidates, so
+            // without per-shipment dedup the same container readings travel
+            // once per object.
+            let mut carried: BTreeSet<TagId> = BTreeSet::new();
             for &tag in &tags {
                 // Inference state: objects carry state, containers are
                 // re-localized from their own readings at the next site.
@@ -709,11 +744,9 @@ impl<'a> SiteState<'a> {
                         MigrationStrategy::CollapsedWeights => {
                             MigrationState::Collapsed(self.engine.export_collapsed(tag))
                         }
-                        MigrationStrategy::CriticalRegionReadings => {
-                            let mut readings = self.engine.export_readings(tag);
-                            readings.readings.retain(|r| shipped_readings.insert(*r));
-                            MigrationState::Readings(readings)
-                        }
+                        MigrationStrategy::CriticalRegionReadings => MigrationState::Readings(
+                            self.engine.export_new_readings(tag, &mut carried),
+                        ),
                         MigrationStrategy::Centralized => unreachable!(),
                     }
                 };
@@ -1037,10 +1070,7 @@ impl<'a> SiteState<'a> {
             }
             None => {
                 let trace = &chain.sites[self.site];
-                self.engine = InferenceEngine::new(
-                    ctx.driver.config.inference.clone(),
-                    trace.read_rates.clone(),
-                );
+                self.engine = ctx.engine(&trace.read_rates);
                 self.processor = ctx.driver.make_processor();
                 self.reading_cursor = 0;
                 self.sensor_cursor = 0;
@@ -1725,5 +1755,43 @@ impl DistributedDriver {
             memory,
             ledgers: Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfid_sim::presets;
+
+    #[test]
+    fn shared_threshold_equals_each_engines_own_calibration_bitwise() {
+        let chain = presets::smoke_chain(60, 3, None);
+        let driver = DistributedDriver::new(DistributedConfig::default());
+        let ctx = FederatedCtx::new(&driver, &chain);
+        // The sites of one layout share a read-rate table: one calibration.
+        assert_eq!(ctx.thresholds.len(), 1);
+        for site in &chain.sites {
+            let own =
+                InferenceEngine::new(driver.config.inference.clone(), site.read_rates.clone())
+                    .calibrate_threshold();
+            let shared = ctx.engine(&site.read_rates).calibrate_threshold();
+            assert_eq!(shared.to_bits(), own.to_bits());
+        }
+    }
+
+    #[test]
+    fn fixed_thresholds_are_not_recalibrated() {
+        let chain = presets::smoke_chain(60, 2, None);
+        let config = DistributedConfig {
+            inference: rfid_core::InferenceConfig::default().with_fixed_threshold(7.5),
+            ..Default::default()
+        };
+        let driver = DistributedDriver::new(config);
+        let ctx = FederatedCtx::new(&driver, &chain);
+        assert!(ctx.thresholds.is_empty());
+        assert_eq!(
+            ctx.engine(&chain.sites[0].read_rates).calibrate_threshold(),
+            7.5
+        );
     }
 }

@@ -180,6 +180,9 @@ fn worker_loop<'a>(
 ) -> Vec<SiteOutcome> {
     // If anything below panics, free the siblings blocked on the barrier.
     let _poison_guard = PoisonOnPanic(barrier);
+    // The workers run inference side by side: each leaves the others their
+    // share of the cores when it borrows helpers for a large run.
+    rfid_core::dense::share_cores(workers);
     // Round-robin shard: worker w owns sites w, w+workers, w+2·workers, …
     let mut sites: Vec<SiteState<'a>> = (worker..chain.sites.len())
         .step_by(workers)
