@@ -584,11 +584,7 @@ fn fill_colocation_matrix(
     }
     let nc = s.all_containers.len();
     let size = s.objects.len() * nc;
-    let helpers = if events == 0 {
-        0
-    } else {
-        split::helpers_for(events)
-    };
+    let helpers = split::helpers_for(events);
     let threads = thread_states(&mut s.threads, helpers);
     for ts in threads.iter_mut() {
         ts.colo_matrix.clear();
@@ -1406,7 +1402,6 @@ fn mstep_object(
     let cands = &c.cand_arena[range.clone()];
     let sorted = &c.cand_sorted[range.clone()];
     let prior_w = &c.prior_w[range];
-    let variant_of = |ci: u32| current[c.slot_of[ci as usize] as usize].as_ref();
     let argmax = |w: &[f64], ts: &mut ThreadScratch| {
         if c.config.vector_kernels {
             argmax_weight_vector(sorted, cands, w, &mut ts.argmax_buf)
@@ -1419,9 +1414,11 @@ fn mstep_object(
     // only the argmax, in ascending container order.
     if incremental
         && iter > 0
-        && cands
-            .iter()
-            .all(|&ci| variant_of(ci).is_none_or(|v| v.updated_iter < iter))
+        && cands.iter().all(|&ci| {
+            current[c.slot_of[ci as usize] as usize]
+                .as_ref()
+                .is_none_or(|v| v.updated_iter < iter)
+        })
     {
         return argmax(w, ts);
     }
