@@ -131,37 +131,26 @@ pub fn change_statistic(evidence: &ObjectEvidence) -> Option<ChangeStatistic> {
 
 /// Run change-point detection over every object of an inference outcome.
 /// Objects whose statistic exceeds `threshold` are reported, each with the
-/// suffix container as its new containment estimate, in ascending object
-/// order. Large outcomes split by object across the dense EM's helper
-/// threads; each object's statistic is computed on one thread, so the
-/// result is the same for every split.
+/// suffix container as its new containment estimate.
 pub fn detect_changes(
     objects: &std::collections::BTreeMap<TagId, ObjectEvidence>,
     threshold: f64,
 ) -> Vec<DetectedChange> {
-    use crate::dense::split;
-    let entries: Vec<(&TagId, &ObjectEvidence)> = objects.iter().collect();
-    let cost = |e: &ObjectEvidence| e.point_evidence.values().map(Vec::len).sum::<usize>();
-    let helpers = split::helpers_for(entries.iter().map(|(_, e)| cost(e)).sum());
-    let ranges = split::ranges(entries.iter().map(|(_, e)| cost(e)), helpers + 1);
-    let mut found: Vec<Vec<DetectedChange>> = ranges.iter().map(|_| Vec::new()).collect();
-    let chunks = ranges.into_iter().zip(found.iter_mut()).collect();
-    split::drain(&mut vec![(); helpers + 1], chunks, |_, (range, out)| {
-        for &(&object, evidence) in &entries[range] {
-            if let Some(stat) = change_statistic(evidence) {
-                if stat.delta >= threshold && stat.prefix_container != stat.suffix_container {
-                    out.push(DetectedChange {
-                        object,
-                        change_at: stat.split_at,
-                        old_container: stat.prefix_container,
-                        new_container: stat.suffix_container,
-                        statistic: stat.delta,
-                    });
-                }
+    let mut changes = Vec::new();
+    for (&object, evidence) in objects {
+        if let Some(stat) = change_statistic(evidence) {
+            if stat.delta >= threshold && stat.prefix_container != stat.suffix_container {
+                changes.push(DetectedChange {
+                    object,
+                    change_at: stat.split_at,
+                    old_container: stat.prefix_container,
+                    new_container: stat.suffix_container,
+                    statistic: stat.delta,
+                });
             }
         }
-    });
-    found.concat()
+    }
+    changes
 }
 
 /// Offline calibration of the detection threshold δ (Section 3.3).
@@ -429,7 +418,7 @@ mod tests {
     fn split_calibration_matches_single_thread_bitwise() {
         let m = model(3);
         let calibrate = |helpers| {
-            crate::dense::with_forced_helpers(helpers, || {
+            crate::dense::split::with_forced_helpers(helpers, || {
                 ThresholdCalibrator::default().calibrate(&m, &mut ChaCha8Rng::seed_from_u64(9))
             })
         };

@@ -37,8 +37,8 @@
 //! determinism suite.
 //!
 //! The costliest phases of a run — the co-location join of candidate
-//! pruning, the needed-epoch dedup, the E-step, the M-step and the outcome
-//! build — run over a queue of contiguous chunks that the calling thread and
+//! pruning, the E-step, the M-step and the outcome build's object evidence —
+//! run over a queue of contiguous chunks that the calling thread and
 //! any helper threads drain (see the `split` module). Each chunk writes only
 //! its own slots, objects or count matrix, in the single-thread operation
 //! order; the M-step's writes into shared variants are deferred to an
@@ -49,8 +49,6 @@ pub mod kernels;
 pub(crate) mod split;
 
 pub use split::share_cores;
-#[doc(hidden)]
-pub use split::with_forced_helpers;
 
 use crate::likelihood::{LikelihoodModel, ReaderSetTable};
 use crate::observations::{ObsAt, Observations};
@@ -153,6 +151,11 @@ pub struct DenseScratch {
     /// Vector-path scratch: object × container co-location count matrix,
     /// row-major by object position.
     colo_matrix: Vec<u32>,
+    /// Vector-path scratch: epoch-presence bitset of one slot's needed-epoch
+    /// dedup, indexed by epoch offset from the run's earliest epoch.
+    seen: Vec<u64>,
+    /// Vector-path scratch: the distinct epochs of one slot, pre-sort.
+    uniq: Vec<Epoch>,
     /// Per-thread scratch of the split phases: the calling thread's first,
     /// then one per helper.
     threads: Vec<ThreadScratch>,
@@ -186,11 +189,6 @@ struct ThreadScratch {
     colo_obj_events: Vec<(Epoch, u32, u32)>,
     /// This thread's object × container co-location counts.
     colo_matrix: Vec<u32>,
-    /// Vector-path scratch: epoch-presence bitset of one slot's needed-epoch
-    /// dedup, indexed by epoch offset from the run's earliest epoch.
-    seen: Vec<u64>,
-    /// Vector-path scratch: the distinct epochs of one slot, pre-sort.
-    uniq: Vec<Epoch>,
 }
 
 /// The per-thread scratch of a phase with `helpers` helpers, growing the
@@ -295,31 +293,17 @@ type MLaneRefs<'v> = (
     Option<&'v [(Epoch, f64)]>,
 );
 
-/// The columns a split phase reads, borrowed shared so a phase body can run
-/// on any thread. Built after the iteration's member count, so it sees the
-/// same member arena as every other phase of the iteration.
+/// What a split phase reads: the run's scratch columns and its model,
+/// borrowed shared so a phase body can run on any thread. Built after the
+/// iteration's member count, so it sees the same member arena as every other
+/// phase of the iteration.
 struct Cols<'r> {
+    s: &'r DenseScratch,
     model: &'r LikelihoodModel,
     config: &'r RfInferConfig,
     nl: usize,
     dirty: Option<&'r DirtySet>,
     obs_of: &'r [&'r [ObsAt]],
-    tags: &'r [TagId],
-    set_ids: &'r [u32],
-    set_start: &'r [u32],
-    table: &'r ReaderSetTable,
-    objects: &'r [u32],
-    rel: &'r [u32],
-    slot_of: &'r [u32],
-    cand_arena: &'r [u32],
-    cand_start: &'r [u32],
-    cand_sorted: &'r [u32],
-    prior_w: &'r [f64],
-    epochs_arena: &'r [Epoch],
-    epochs_start: &'r [u32],
-    epochs_len: &'r [u32],
-    member_arena: &'r [u32],
-    member_start: &'r [u32],
 }
 
 impl<'r> Cols<'r> {
@@ -330,27 +314,12 @@ impl<'r> Cols<'r> {
         obs_of: &'r [&'r [ObsAt]],
     ) -> Cols<'r> {
         Cols {
+            s,
             model: rf.model,
             config: &rf.config,
             nl: rf.model.num_locations(),
             dirty,
             obs_of,
-            tags: &s.tags,
-            set_ids: &s.set_ids,
-            set_start: &s.set_start,
-            table: &s.table,
-            objects: &s.objects,
-            rel: &s.rel,
-            slot_of: &s.slot_of,
-            cand_arena: &s.cand_arena,
-            cand_start: &s.cand_start,
-            cand_sorted: &s.cand_sorted,
-            prior_w: &s.prior_w,
-            epochs_arena: &s.epochs_arena,
-            epochs_start: &s.epochs_start,
-            epochs_len: &s.epochs_len,
-            member_arena: &s.member_arena,
-            member_start: &s.member_start,
         }
     }
 
@@ -360,23 +329,24 @@ impl<'r> Cols<'r> {
 
     /// Reader-set ids of one tag's observations.
     fn sets_of(&self, tag: u32) -> &'r [u32] {
-        &self.set_ids
-            [self.set_start[tag as usize] as usize..self.set_start[tag as usize + 1] as usize]
+        &self.s.set_ids
+            [self.s.set_start[tag as usize] as usize..self.s.set_start[tag as usize + 1] as usize]
     }
 
     /// Current members of one relevant-container slot.
     fn members(&self, slot: usize) -> &'r [u32] {
-        &self.member_arena[self.member_start[slot] as usize..self.member_start[slot + 1] as usize]
+        &self.s.member_arena
+            [self.s.member_start[slot] as usize..self.s.member_start[slot + 1] as usize]
     }
 
     /// Flat candidate range of object position `k`.
     fn cands(&self, k: usize) -> Range<usize> {
-        self.cand_start[k] as usize..self.cand_start[k + 1] as usize
+        self.s.cand_start[k] as usize..self.s.cand_start[k + 1] as usize
     }
 
     /// Evidence dots an M-step or outcome pass over object `k` may evaluate.
     fn object_cost(&self, k: usize) -> usize {
-        self.obs_of[self.objects[k] as usize].len() * self.cands(k).len()
+        self.obs_of[self.s.objects[k] as usize].len() * self.cands(k).len()
     }
 }
 
@@ -968,53 +938,41 @@ pub(crate) fn run_dense(
     }
     // Epoch span of the run, for the bitset dedup (the arena holds every
     // observed epoch, so min/max bound every slot's segment).
-    let dedup = if config.vector_kernels {
+    let dedup_base = if config.vector_kernels {
         let base = s.epochs_arena.iter().copied().min().unwrap_or(Epoch(0));
         let max = s.epochs_arena.iter().copied().max().unwrap_or(base);
         let span = max.since(base) as usize + 1;
         // Epoch spans are bounded by the retained history; fall back to the
         // plain sort if a pathological store says otherwise.
-        (span <= (1 << 24)).then_some((base, span.div_ceil(64)))
+        if span <= (1 << 24) {
+            s.seen.clear();
+            s.seen.resize(span.div_ceil(64), 0);
+            Some(base)
+        } else {
+            None
+        }
     } else {
         None
     };
-    // Per-slot dedup, split by slot: each slot's segment is its own.
-    let helpers = split::helpers_for(s.epochs_arena.len());
-    let threads = thread_states(&mut s.threads, helpers);
-    if let Some((_, words)) = dedup {
-        for ts in threads.iter_mut() {
-            ts.seen.clear();
-            ts.seen.resize(words, 0);
-        }
-    }
-    let (arena_len, epochs_start) = (s.epochs_arena.len(), &s.epochs_start);
-    let offset = |slot: usize| epochs_start.get(slot).map_or(arena_len, |&e| e as usize);
-    let ranges = split::ranges(
-        (0..num_rel).map(|slot| offset(slot + 1) - offset(slot)),
-        helpers + 1,
-    );
-    let arena_ranges: Vec<Range<usize>> = ranges
-        .iter()
-        .map(|r| offset(r.start)..offset(r.end))
-        .collect();
     s.epochs_len.clear();
-    s.epochs_len.resize(num_rel, 0);
-    let chunks: Vec<_> = ranges
-        .iter()
-        .cloned()
-        .zip(split_by(&mut s.epochs_arena, &arena_ranges))
-        .zip(split_by(&mut s.epochs_len, &ranges))
-        .collect();
-    split::drain(threads, chunks, |ts, ((slots, arena), lens)| {
-        let base = offset(slots.start);
-        for (i, slot) in slots.enumerate() {
-            let segment = &mut arena[offset(slot) - base..offset(slot + 1) - base];
-            lens[i] = match dedup {
-                Some((epoch0, _)) => sort_dedup_bitmap(segment, epoch0, &mut ts.seen, &mut ts.uniq),
-                None => sort_dedup(segment),
-            } as u32;
-        }
-    });
+    for slot in 0..num_rel {
+        let start = s.epochs_start[slot] as usize;
+        let end = if slot + 1 < num_rel {
+            s.epochs_start[slot + 1] as usize
+        } else {
+            s.epochs_arena.len()
+        };
+        let len = match dedup_base {
+            Some(base) => sort_dedup_bitmap(
+                &mut s.epochs_arena[start..end],
+                base,
+                &mut s.seen,
+                &mut s.uniq,
+            ),
+            None => sort_dedup(&mut s.epochs_arena[start..end]),
+        };
+        s.epochs_len.push(len as u32);
+    }
 
     // ---- Re-intern the previous run's cache --------------------------
     // Containers or members that left the universe can never match or be
@@ -1127,7 +1085,7 @@ pub(crate) fn run_dense(
         let ranges = split::ranges((0..num_objects).map(|k| c.object_cost(k)), helpers + 1);
         let flat_ranges: Vec<Range<usize>> = ranges
             .iter()
-            .map(|r| c.cand_start[r.start] as usize..c.cand_start[r.end] as usize)
+            .map(|r| c.s.cand_start[r.start] as usize..c.s.cand_start[r.end] as usize)
             .collect();
         let mut pushes: Vec<Vec<EvidencePush>> = ranges.iter().map(|_| Vec::new()).collect();
         let chunks: Vec<_> = ranges
@@ -1139,7 +1097,7 @@ pub(crate) fn run_dense(
             .collect();
         let variants = &current;
         split::drain(threads, chunks, |ts, (((objects, w), assign), out)| {
-            let base = c.cand_start[objects.start] as usize;
+            let base = c.s.cand_start[objects.start] as usize;
             for (i, k) in objects.enumerate() {
                 let range = c.cands(k);
                 let w = &mut w[range.start - base..range.end - base];
@@ -1224,7 +1182,7 @@ fn estep_cost(c: &Cols<'_>, slot: usize, current: Option<&DVariant>) -> usize {
     if c.config.memoization && current.is_some_and(|v| v.members == members) {
         0
     } else {
-        c.epochs_len[slot] as usize * (members.len() + 1)
+        c.s.epochs_len[slot] as usize * (members.len() + 1)
     }
 }
 
@@ -1245,7 +1203,7 @@ fn estep_slot<'r>(
     member_rows: &mut Vec<&'r [f64]>,
 ) {
     let nl = c.nl;
-    let ci = c.rel[slot];
+    let ci = c.s.rel[slot];
     let members = c.members(slot);
     if let Some(variant) = current.as_ref() {
         if c.config.memoization && variant.members == members {
@@ -1271,15 +1229,15 @@ fn estep_slot<'r>(
     if let Some(d) = c.dirty {
         if !prev_epochs.is_empty() {
             let union = d.union_for_until(
-                std::iter::once(c.tags[ci as usize])
-                    .chain(members.iter().map(|&m| c.tags[m as usize])),
+                std::iter::once(c.s.tags[ci as usize])
+                    .chain(members.iter().map(|&m| c.s.tags[m as usize])),
                 prev_epochs.last().copied(),
             );
             ts.invalid.extend(union);
         }
     }
-    let start = c.epochs_start[slot] as usize;
-    let needed = &c.epochs_arena[start..start + c.epochs_len[slot] as usize];
+    let start = c.s.epochs_start[slot] as usize;
+    let needed = &c.s.epochs_arena[start..start + c.s.epochs_len[slot] as usize];
     // Whole-variant fast path, same condition as the reference.
     let fully_reused = !prev_epochs.is_empty()
         && prev_epochs.as_slice() == needed
@@ -1334,7 +1292,7 @@ fn estep_slot<'r>(
                 own_cur += 1;
             }
             let base_row = if own_cur < own.len() && own[own_cur].epoch == t {
-                c.table.row(own_sets[own_cur])
+                c.s.table.row(own_sets[own_cur])
             } else {
                 c.model.all_miss_row()
             };
@@ -1347,8 +1305,8 @@ fn estep_slot<'r>(
                 }
                 ts.cursors[mi] = cur as u32;
                 member_rows.push(if cur < list.len() && list[cur].epoch == t {
-                    c.table
-                        .row(c.set_ids[c.set_start[m as usize] as usize + cur])
+                    c.s.table
+                        .row(c.s.set_ids[c.s.set_start[m as usize] as usize + cur])
                 } else {
                     c.model.all_miss_row()
                 });
@@ -1394,14 +1352,14 @@ fn mstep_object(
 ) -> u32 {
     let nl = c.nl;
     let incremental = c.incremental();
-    let oi = c.objects[k];
+    let oi = c.s.objects[k];
     let range = c.cands(k);
     if range.is_empty() {
         return NONE_IDX;
     }
-    let cands = &c.cand_arena[range.clone()];
-    let sorted = &c.cand_sorted[range.clone()];
-    let prior_w = &c.prior_w[range];
+    let cands = &c.s.cand_arena[range.clone()];
+    let sorted = &c.s.cand_sorted[range.clone()];
+    let prior_w = &c.s.prior_w[range];
     let argmax = |w: &[f64], ts: &mut ThreadScratch| {
         if c.config.vector_kernels {
             argmax_weight_vector(sorted, cands, w, &mut ts.argmax_buf)
@@ -1415,14 +1373,14 @@ fn mstep_object(
     if incremental
         && iter > 0
         && cands.iter().all(|&ci| {
-            current[c.slot_of[ci as usize] as usize]
+            current[c.s.slot_of[ci as usize] as usize]
                 .as_ref()
                 .is_none_or(|v| v.updated_iter < iter)
         })
     {
         return argmax(w, ts);
     }
-    let o_dirty = c.dirty.and_then(|d| d.epochs_of(c.tags[oi as usize]));
+    let o_dirty = c.dirty.and_then(|d| d.epochs_of(c.s.tags[oi as usize]));
     let o_clean = o_dirty.is_none_or(|d| d.is_empty());
     let o_obs = c.obs_of[oi as usize];
     let o_sets = c.sets_of(oi);
@@ -1440,7 +1398,7 @@ fn mstep_object(
         let walkers = &mut ts.walkers;
         debug_assert!(walkers.is_empty());
         for (off, &ci) in cands.iter().enumerate() {
-            let slot = c.slot_of[ci as usize];
+            let slot = c.s.slot_of[ci as usize];
             let mut wt = prior_w[off];
             if let Some(variant) = current[slot as usize].as_ref() {
                 if let Some(series) = find_series(&variant.evidence, oi) {
@@ -1565,7 +1523,7 @@ fn mstep_object(
                 // Point-evidence dots of every active lane against the
                 // object's loglik row at this epoch — the row is loaded once
                 // and shared across the lanes.
-                let row = c.table.row(o_sets[pos]);
+                let row = c.s.table.row(o_sets[pos]);
                 for (chunk, qch) in ts
                     .active
                     .chunks(kernels::LANES)
@@ -1596,7 +1554,7 @@ fn mstep_object(
         }
     } else {
         for (off, &ci) in cands.iter().enumerate() {
-            let slot = c.slot_of[ci as usize];
+            let slot = c.s.slot_of[ci as usize];
             let mut wt = prior_w[off];
             if let Some(variant) = current[slot as usize].as_ref() {
                 if let Some(series) = find_series(&variant.evidence, oi) {
@@ -1663,7 +1621,7 @@ fn mstep_object(
                                     ts.stats.evidence_computed += 1;
                                     expect_row_of(
                                         &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                        c.table.row(o_sets[pos]),
+                                        c.s.table.row(o_sets[pos]),
                                     )
                                 }
                             };
@@ -1689,7 +1647,7 @@ fn mstep_object(
                                 ts.stats.evidence_computed += 1;
                                 wt += expect_row_of(
                                     &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                    c.table.row(o_sets[pos]),
+                                    c.s.table.row(o_sets[pos]),
                                 );
                             }
                         }
@@ -1704,8 +1662,7 @@ fn mstep_object(
 
 /// Convert the dense EM state into the public `TagId`-keyed
 /// [`InferenceOutcome`] — the only place interned indices are translated
-/// back. The per-object evidence is split by object and the container
-/// location estimates by slot.
+/// back. The per-object evidence is split by object.
 #[allow(clippy::too_many_arguments)]
 fn build_outcome(
     rf: &RfInfer<'_>,
@@ -1758,33 +1715,18 @@ fn build_outcome(
         num_rel,
     );
 
-    let mut tag_locations: BTreeMap<TagId, Locations> = {
-        let c = Cols::of(s, rf, dirty, obs_of);
-        let cost = |slot: usize| {
-            current[slot]
-                .as_ref()
-                .map_or(0, |v| v.epochs.len() * (c.members(slot).len() + 1))
+    let mut tag_locations: BTreeMap<TagId, Locations> = BTreeMap::new();
+    let c = Cols::of(s, rf, dirty, obs_of);
+    let cursors = &mut thread_states(pool, 0)[0].cursors;
+    for (slot, variant) in current.iter().enumerate() {
+        let Some(variant) = variant else {
+            continue;
         };
-        let helpers = split::helpers_for((0..num_rel).map(cost).sum());
-        let threads = thread_states(pool, helpers);
-        let ranges = split::ranges((0..num_rel).map(cost), helpers + 1);
-        let mut built: Vec<Vec<(TagId, Locations)>> = ranges.iter().map(|_| Vec::new()).collect();
-        split::drain(
-            threads,
-            ranges.into_iter().zip(built.iter_mut()).collect(),
-            |ts, (slots, out)| {
-                for slot in slots {
-                    if let Some(variant) = current[slot].as_ref() {
-                        let locs = container_locations(&c, slot, variant, &mut ts.cursors);
-                        if !locs.is_empty() {
-                            out.push((c.tags[c.rel[slot] as usize], locs));
-                        }
-                    }
-                }
-            },
-        );
-        built.into_iter().flatten().collect()
-    };
+        let locs = container_locations(&c, slot, variant, cursors);
+        if !locs.is_empty() {
+            tag_locations.insert(s.tags[s.rel[slot] as usize], locs);
+        }
+    }
     // Objects with no assigned container fall back to their own readings
     // (the memoized row *is* the log-weight vector of that posterior).
     for k in 0..num_objects {
@@ -1843,7 +1785,7 @@ fn container_locations(
     variant: &DVariant,
     cursors: &mut Vec<u32>,
 ) -> Locations {
-    let own = c.obs_of[c.rel[slot] as usize];
+    let own = c.obs_of[c.s.rel[slot] as usize];
     let members = c.members(slot);
     let mut own_cur = 0usize;
     cursors.clear();
@@ -1887,7 +1829,7 @@ fn object_evidence(
     ts: &mut ThreadScratch,
 ) -> (TagId, ObjectEvidence) {
     let nl = c.nl;
-    let oi = c.objects[k];
+    let oi = c.s.objects[k];
     let range = c.cands(k);
     let o_obs = c.obs_of[oi as usize];
     let o_sets = c.sets_of(oi);
@@ -1903,8 +1845,8 @@ fn object_evidence(
     }
     let mut lanes: Vec<BLane<'_>> = Vec::new();
     for (off, flat) in range.clone().enumerate() {
-        let ci = c.cand_arena[flat];
-        if let Some(variant) = current[c.slot_of[ci as usize] as usize].as_ref() {
+        let ci = c.s.cand_arena[flat];
+        if let Some(variant) = current[c.s.slot_of[ci as usize] as usize].as_ref() {
             match find_series(&variant.evidence, oi) {
                 Some(series) if c.incremental() => {
                     ts.stats.evidence_reused += series.len();
@@ -1929,7 +1871,7 @@ fn object_evidence(
                                     t,
                                     expect_row_of(
                                         &variant.qrows[q_cur * nl..(q_cur + 1) * nl],
-                                        c.table.row(o_sets[pos]),
+                                        c.s.table.row(o_sets[pos]),
                                     ),
                                 ));
                             }
@@ -1968,7 +1910,7 @@ fn object_evidence(
             if ts.active.is_empty() {
                 continue;
             }
-            let row = c.table.row(o_sets[pos]);
+            let row = c.s.table.row(o_sets[pos]);
             for chunk in ts.active.chunks(kernels::LANES) {
                 let mut qs: [&[f64]; kernels::LANES] = [&[]; kernels::LANES];
                 for (j, &l) in chunk.iter().enumerate() {
@@ -1986,18 +1928,18 @@ fn object_evidence(
     let mut point_evidence: BTreeMap<TagId, Vec<(Epoch, f64)>> = BTreeMap::new();
     let mut object_weights: BTreeMap<TagId, f64> = BTreeMap::new();
     for (off, flat) in range.clone().enumerate() {
-        let tag = c.tags[c.cand_arena[flat] as usize];
+        let tag = c.s.tags[c.s.cand_arena[flat] as usize];
         point_evidence.insert(tag, std::mem::take(&mut flat_points[off]));
         object_weights.insert(tag, weights[flat]);
     }
     let evidence = ObjectEvidence {
-        candidates: c.cand_arena[range]
+        candidates: c.s.cand_arena[range]
             .iter()
-            .map(|&ci| c.tags[ci as usize])
+            .map(|&ci| c.s.tags[ci as usize])
             .collect(),
         weights: object_weights,
         point_evidence,
-        assigned: (assign != NONE_IDX).then(|| c.tags[assign as usize]),
+        assigned: (assign != NONE_IDX).then(|| c.s.tags[assign as usize]),
     };
-    (c.tags[oi as usize], evidence)
+    (c.s.tags[oi as usize], evidence)
 }

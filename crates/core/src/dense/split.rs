@@ -2,11 +2,10 @@
 //! calling thread and any helpers drain.
 //!
 //! The costliest phases of a run — the co-location join (per epoch range),
-//! the needed-epoch dedup, the E-step and the container location estimates
-//! (per relevant-container slot), the M-step, the object evidence and the
-//! change detection (per object), and the threshold calibration (per
-//! sample) — hand their work to [`drain`] as contiguous chunks. Every chunk
-//! writes only its own slots, objects, samples or count matrix, in the same
+//! the E-step (per relevant-container slot), the M-step and the object
+//! evidence (per object), and the threshold calibration (per sample) — hand
+//! their work to [`drain`] as contiguous chunks. Every chunk writes only its
+//! own slots, objects, samples or count matrix, in the same
 //! operation order as a single thread would, so **no float value ever
 //! crosses threads**: the only cross-thread merges are integer counter sums,
 //! `u32` count-matrix sums, and in-order concatenations the calling thread
@@ -15,20 +14,21 @@
 //!
 //! The helper budget is derived, not configured: a thread that runs
 //! inference shares the machine's cores with its sibling executor workers
-//! ([`share_cores`]), and borrows `cores / sharers − 1` helpers. A phase
-//! smaller than [`MIN_SPLIT_WORK`] stays on the calling thread.
+//! ([`share_cores`]), and borrows up to `cores / sharers − 1` helpers, one
+//! per [`MIN_SPLIT_WORK`] units of the phase's work. A phase smaller than
+//! that stays on the calling thread.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
-/// Smallest phase, in work units, that is split across helpers. A unit is
-/// one step of the phase's inner loop: a posterior row or point-evidence
-/// value to evaluate, an observation event to join, an epoch to dedup, a
-/// sampled reading to infer over. A helper spawn costs about 40 µs, so below
-/// this size the calling thread runs the phase alone — the calibration's
-/// individual sample runs and most incremental runs of a federated site
-/// never spawn.
+/// Work, in units, that pays for one helper thread. A unit is one step of
+/// the phase's inner loop: a posterior row or point-evidence value to
+/// evaluate, an observation event to join, a sampled reading to infer over.
+/// A helper spawn costs about 40 µs, so a phase smaller than this runs on the
+/// calling thread alone — the calibration's individual sample runs and most
+/// incremental runs of a federated site never spawn — and a larger one
+/// borrows at most one helper per this many units.
 const MIN_SPLIT_WORK: usize = 20_000;
 
 /// Chunks per thread of a split phase: enough that a thread which drew a
@@ -38,6 +38,10 @@ const CHUNKS_PER_THREAD: usize = 8;
 thread_local! {
     /// How many threads, this one included, run inference side by side.
     static SHARERS: Cell<usize> = const { Cell::new(1) };
+}
+
+#[cfg(test)]
+thread_local! {
     /// Helper count forced by [`with_forced_helpers`], cutoff ignored.
     static FORCED: Cell<Option<usize>> = const { Cell::new(None) };
 }
@@ -54,8 +58,8 @@ pub fn share_cores(threads: usize) {
 /// Run `f` with every split phase on this thread drained by exactly
 /// `helpers` helper threads, however small the phase. The determinism tests
 /// use it to compare split runs against single-thread runs on small stores.
-#[doc(hidden)]
-pub fn with_forced_helpers<R>(helpers: usize, f: impl FnOnce() -> R) -> R {
+#[cfg(test)]
+pub(crate) fn with_forced_helpers<R>(helpers: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -73,13 +77,13 @@ fn cores() -> usize {
 
 /// Helper threads a phase of `work` units may use on the calling thread.
 pub(crate) fn helpers_for(work: usize) -> usize {
+    #[cfg(test)]
     if let Some(forced) = FORCED.with(Cell::get) {
         return forced;
     }
-    if work < MIN_SPLIT_WORK {
-        return 0;
-    }
-    (cores() / SHARERS.with(Cell::get)).saturating_sub(1)
+    (cores() / SHARERS.with(Cell::get))
+        .saturating_sub(1)
+        .min(work / MIN_SPLIT_WORK)
 }
 
 /// Cut `0..costs.len()` into contiguous ranges of roughly equal total cost:
@@ -222,6 +226,9 @@ mod tests {
             assert_eq!(helpers_for(usize::MAX), 0);
             share_cores(1);
             assert_eq!(helpers_for(usize::MAX), cores() - 1);
+            // Each helper needs its own share of the work.
+            assert_eq!(helpers_for(MIN_SPLIT_WORK - 1), 0);
+            assert_eq!(helpers_for(2 * MIN_SPLIT_WORK), (cores() - 1).min(2));
         })
         .join()
         .unwrap();

@@ -663,8 +663,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::split::with_forced_helpers;
     use crate::truncate::TruncationPolicy;
+    use proptest::prelude::*;
     use rfid_types::ReaderId;
+    use std::collections::BTreeMap;
 
     fn rates() -> ReadRateTable {
         ReadRateTable::diagonal(3, 0.8, 1e-4)
@@ -972,5 +975,87 @@ mod tests {
         // cached on the second call
         assert_eq!(calibrated.calibrate_threshold(), t);
         assert_eq!(calibrated.threshold(), Some(t));
+    }
+
+    proptest! {
+        /// The dense EM's split phases are bit-identical to the single-thread
+        /// path: engines run with every phase forced onto one helper thread (the
+        /// work cutoff ignored, so even these small stores split into many
+        /// chunks) match engines that never spawn one — outcome, change
+        /// detections, reuse counters and the whole engine snapshot including the
+        /// evidence cache — after every run of an arbitrary incremental sequence,
+        /// with the vector kernels on and off and with the cross-run cache off.
+        /// Snapshots compare by their `Debug` text, which prints every `f64` in
+        /// its shortest round-trip form, so equal text means equal bits.
+        #[test]
+        fn split_em_matches_single_thread_bitwise(
+            ops in prop::collection::vec(
+                (0u8..8, 1u32..5, 0u64..12, 0u64..4, 0u16..4),
+                30..120,
+            ),
+        ) {
+            let config = InferenceConfig::default()
+                .with_period(10)
+                .with_recent_history(25)
+                .with_fixed_threshold(5.0);
+            let rates = ReadRateTable::diagonal(4, 0.8, 1e-4);
+            let configs = [
+                config.clone(),
+                config.clone().with_vector_kernels(false),
+                config.with_incremental(false),
+            ];
+            // (single-thread, split) engine pairs, one per configuration.
+            let mut pairs: Vec<[InferenceEngine; 2]> = configs
+                .iter()
+                .map(|c| {
+                    [
+                        InferenceEngine::new(c.clone(), rates.clone()),
+                        InferenceEngine::new(c.clone(), rates.clone()),
+                    ]
+                })
+                .collect();
+            let mut now = Epoch(0);
+            let last = ops.len();
+            for (i, &(kind, dt, obj, cont, reader)) in ops.iter().enumerate() {
+                now = now.plus(dt);
+                let object = TagId::item(obj);
+                let container = TagId::case(cont);
+                for engine in pairs.iter_mut().flatten() {
+                    match kind {
+                        0..=2 => {
+                            engine.observe(RawReading::new(now, object, ReaderId(reader)));
+                            engine.observe(RawReading::new(now, container, ReaderId(reader)));
+                        }
+                        3 => engine.observe(RawReading::new(now, object, ReaderId(reader))),
+                        4 => engine.import_state(MigrationState::Collapsed(CollapsedState {
+                            object,
+                            weights: BTreeMap::from([
+                                (container, 0.0),
+                                (TagId::case((cont + 1) % 4), -(dt as f64) * 3.0),
+                            ]),
+                            container: Some(container),
+                        })),
+                        5 => engine.forget(object),
+                        _ => {}
+                    }
+                }
+                if (kind < 6 && i + 1 < last) || pairs[0][0].stored_observations() == 0 {
+                    continue;
+                }
+                for [single, split] in pairs.iter_mut() {
+                    let a = with_forced_helpers(0, || single.run_inference(now));
+                    let b = with_forced_helpers(1, || split.run_inference(now));
+                    prop_assert_eq!(format!("{:?}", a.outcome), format!("{:?}", b.outcome),
+                        "outcome diverged at op {}", i);
+                    prop_assert_eq!(&a.changes, &b.changes, "changes diverged at op {}", i);
+                    prop_assert_eq!(a.stats, b.stats, "counters diverged at op {}", i);
+                    prop_assert_eq!(
+                        format!("{:?}", single.snapshot()),
+                        format!("{:?}", split.snapshot()),
+                        "snapshot diverged at op {}", i
+                    );
+                }
+            }
+        }
     }
 }
